@@ -20,12 +20,15 @@ from .invariants import (
 )
 from .normalize import macro_word, normalize
 from .orbits import (
-    BudgetExceededError, GENERATOR_SETS, MOD, MOD_PM, enumerate_orbits,
+    BudgetConfigError, BudgetExceededError, GENERATOR_SETS, MOD, MOD_PM,
+    enumerate_orbits,
 )
 from .sl2 import generate_sl2, sl2_group_order
 from .space import SpaceParams, decode_array, make_element, parse_element
 
 DEFAULT_SEED = 20250810
+# a sampling loop draws at most this many pairs per sample it must accept
+MAX_DRAWS_PER_SAMPLE = 20
 
 
 class CliError(Exception):
@@ -48,6 +51,20 @@ def _element(args, params: SpaceParams):
         return parse_element(params, args.element)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+
+
+def _enumerate(params: SpaceParams, gens, **kwargs):
+    """enumerate_orbits, with budget refusals and a malformed budget as CliError."""
+    try:
+        return enumerate_orbits(params, gens, **kwargs)
+    except (BudgetExceededError, BudgetConfigError) as exc:
+        raise CliError(str(exc)) from None
+
+
+def _sampling_cap_message(draws: int, accepted: int, wanted: int) -> str:
+    return (f"stopped after {draws} attempts: "
+            f"{draws - accepted} rejected as ill-conditioned, "
+            f"{accepted} of {wanted} samples accepted")
 
 
 def _regime(params: SpaceParams) -> str:
@@ -88,11 +105,8 @@ def cmd_classify(args) -> int:
 
 def cmd_orbits(args) -> int:
     params = _space(args)
-    try:
-        report = enumerate_orbits(params, args.gens, thread_count=args.threads,
-                                  record_paths=False)
-    except BudgetExceededError as exc:
-        raise CliError(str(exc)) from None
+    report = _enumerate(params, args.gens, thread_count=args.threads,
+                        record_paths=False)
     data = report.to_dict()
     data["regime"] = _regime(params)
     if data["regime"] == "n divides 2g-2":
@@ -160,7 +174,12 @@ def cmd_cocycle(args) -> int:
         return tuple((rng.choice(names), rng.choice([-1, 1])) for _ in range(length))
 
     samples = []
+    draws = 0
     while len(samples) < args.pairs:
+        if draws == MAX_DRAWS_PER_SAMPLE * args.pairs:
+            raise CliError("cocycle sampling "
+                           + _sampling_cap_message(draws, len(samples), args.pairs))
+        draws += 1
         w1, w2 = rand_word(), rand_word()
         try:
             value = euler.cocycle(group, w1, w2)
@@ -212,8 +231,8 @@ def _theorem_cases(max_states: float, max_genus: int = 7):
 def suite_theorem(args, chk: Checker) -> None:
     for g, n in _theorem_cases(args.max_states):
         params = SpaceParams(g, n)
-        report = enumerate_orbits(params, MOD, thread_count=args.threads,
-                                  record_paths=False)
+        report = _enumerate(params, MOD, thread_count=args.threads,
+                            record_paths=False)
         chk.check(f"theorem g={g} n={n} orbit_count", report.orbit_count,
                   orbit_count_expected(params))
         if n % 2 == 0:
@@ -238,8 +257,8 @@ def suite_invariants(args, chk: Checker) -> None:
                     hi = max(hi, bounds[ordinal][1])
                 bounds[ordinal] = (lo, hi)
 
-            enumerate_orbits(params, selector, thread_count=args.threads,
-                             record_paths=False, batch_hook=hook)
+            _enumerate(params, selector, thread_count=args.threads,
+                       record_paths=False, batch_hook=hook)
             constant = all(lo == hi for lo, hi in bounds.values())
             chk.check_true(
                 f"invariants g={g} n={n} {selector} vanishing constant per orbit",
@@ -275,7 +294,13 @@ def suite_cocycle(args, chk: Checker) -> None:
     bad = 0
     crossing_bad = 0
     done = 0
+    draws = 0
     while done < args.samples:
+        if draws == MAX_DRAWS_PER_SAMPLE * args.samples:
+            chk.check_true("cocycle sampling", False,
+                           _sampling_cap_message(draws, done, args.samples))
+            break
+        draws += 1
         w1 = tuple((rng.choice(names), rng.choice([-1, 1]))
                    for _ in range(rng.randrange(1, 7)))
         w2 = tuple((rng.choice(names), rng.choice([-1, 1]))

@@ -4,15 +4,17 @@ Every state can be moved by twist words to (0, ..., 0, t) where t = 0
 when n is odd and t is the last coordinate's parity when n is even.  The
 reduction runs in three stages:
 
-  (i)   per-block A/B words clear every alpha coordinate;
+  (i)   per block, a Euclidean word in powers of A_i and B_i clears the
+        alpha coordinate (`sl2.clear_alpha`, O(log n) tokens);
   (ii)  one multi-twist concentrates the remaining betas into the last
         block (the beta sum is what survives);
-  (iii) a five-part macro word adds 2 to the final beta; repeating it
-        walks the residue to the canonical target.
+  (iii) one shift of at most seven tokens through C_{g-1} and block g
+        sends the last beta from b to 2k - b, with 2k = t + b mod n.
 
-The emitted word is the concatenation of all stages, applied first token
-first, and replaying it on the input must land exactly on the canonical
-representative.
+Every word is built in closed form, with no search, so a certificate has
+at most g*(2*ceil(log2 n) + 4) + g + 6 tokens.  The emitted word is the
+concatenation of all stages, applied first token first, and replaying
+it on the input must land exactly on the canonical representative.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .action import (
     EMPTY_WORD, Generator, GeneratorWord, MultiTwist, apply_token, apply_word,
     simplify_word,
 )
-from .sl2 import clear_alpha, solve_pair
+from .sl2 import clear_alpha
 from .space import GnElement, SpaceParams, make_element
 
 
@@ -89,19 +91,13 @@ def normalize(x: GnElement, verify: bool = True):
         exponents.append(_signed_exponent(-acc, n))
     _append(tokens, MultiTwist(tuple(exponents)).to_word(), coords, params)
 
-    # stage (iii): add 2 to the last beta as many times as needed; the
-    # +2 steps reach exactly the residues of the same parity, so the
-    # target is 0 for odd n and the stage-(ii) parity for even n
+    # stage (iii): the shift reaches every 2k - b, that is every residue
+    # of b's parity, so the target is 0 for odd n and b's parity for even n
     beta = coords[2 * g - 1]
     target = 0 if n % 2 else beta % 2
-    if n % 2:
-        steps = ((target - beta) * pow(2, -1, n)) % n
-    else:
-        steps = ((target - beta) % n) // 2
-    for _ in range(steps):
-        beta = coords[2 * g - 1]
-        macro = _macro_word(beta, g, n)
-        _append(tokens, macro, coords, params)
+    if beta != target:
+        half = (target + beta) * pow(2, -1, n) if n % 2 else (target + beta) // 2
+        _append(tokens, _shift_word(half % n, beta, g, n), coords, params)
 
     rep = make_element(params, coords)
     expected = (0,) * (2 * g - 1) + (target,)
@@ -116,33 +112,33 @@ def normalize(x: GnElement, verify: bool = True):
 
 
 @lru_cache(maxsize=8192)
-def _macro_word(beta: int, g: int, n: int) -> GeneratorWord:
-    """Word sending (0, ..., 0, beta) to (0, ..., 0, beta + 2).
+def _shift_word(k: int, beta: int, g: int, n: int) -> GeneratorWord:
+    """Word sending (0, ..., 0, beta) to (0, ..., 0, 2k - beta).
 
-    Twist the previous handle in, rotate the last block, twist again,
-    steer the last block to (0, 1), then unwind the previous handle:
+    With C = C_{g-1} and c = beta - k, the word is
+    C^k . B_g A_g . C^-1 . A_g B_g^-c . C^(beta + 1 - 2k); on the last two
+    blocks it runs
 
-        (0,0,0,b) -> (0,1,0,b-1) -> (0,1,b-1,0) -> (0,b+1,b-1,-b)
-                  -> (0,b+1,0,1) -> (0,0,0,b+2)
+        (0,0,0,b) -> (0,k,0,c) -> (0,k,c,0) -> (0,k-c-1,c,c+1)
+                  -> (0,k-c-1,0,1) -> (0,0,0,2k-b)
+
+    Exponents that vanish mod n are dropped, so it has at most 7 tokens.
     """
-    c = Generator("C", g - 1)
-    w1 = solve_pair((0, beta - 1), (beta - 1, 0), n)
-    w2 = solve_pair((beta - 1, -beta), (0, 1), n)
-    if w1 is None or w2 is None:
-        raise AssertionError(f"macro block moves unsolvable for beta={beta}, n={n}")
-    tokens = [c]
-    tokens.extend(w1.on_block(g).tokens)
-    tokens.append(c)
-    tokens.extend(w2.on_block(g).tokens)
-    tail = _signed_exponent(-1 - beta, n)
-    if tail != 0:
-        tokens.append(Generator("C", g - 1, tail))
+    c = beta - k
+    parts = (("C", g - 1, k), ("B", g, 1), ("A", g, 1), ("C", g - 1, -1),
+             ("A", g, 1), ("B", g, -c), ("C", g - 1, beta + 1 - 2 * k))
+    tokens = []
+    for kind, index, e in parts:
+        e = _signed_exponent(e, n)
+        if e:
+            tokens.append(Generator(kind, index, e))
     return GeneratorWord(tuple(tokens))
 
 
 def macro_word(beta: int, params: SpaceParams) -> GeneratorWord:
-    """Public form of the +2 macro at the given parameters."""
-    return _macro_word(beta % params.n, params.g, params.n)
+    """Word adding 2 to the last beta of (0, ..., 0, beta): the k = beta + 1 shift."""
+    beta %= params.n
+    return _shift_word(beta + 1, beta, params.g, params.n)
 
 
 def same_orbit(x: GnElement, y: GnElement):

@@ -37,12 +37,17 @@ GeneratorSet = str
 BUDGET_ENV = "MCGORBITS_BITMAP_BUDGET"
 DEFAULT_BITMAP_BUDGET = 512 * 1024 * 1024  # bytes
 PATHS_AUTO_LIMIT = 10 ** 7
+PATH_BYTES_PER_STATE = 10  # int64 parent index plus int16 generator id
 
 _BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
 
 
 class BudgetExceededError(MemoryError):
     """State space too large for the configured visited-bitmap budget."""
+
+
+class BudgetConfigError(ValueError):
+    """MCGORBITS_BITMAP_BUDGET is set but is not a byte count."""
 
 
 class PathsUnavailableError(RuntimeError):
@@ -192,10 +197,18 @@ class OrbitReport:
 
 
 def bitmap_budget() -> int:
+    """Byte budget for the per-state arrays, from MCGORBITS_BITMAP_BUDGET."""
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BITMAP_BUDGET
-    return int(raw)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise BudgetConfigError(
+            f"{BUDGET_ENV} must be a non-negative integer byte count, got {raw!r}")
+    return budget
 
 
 def enumerate_orbits(
@@ -211,19 +224,24 @@ def enumerate_orbits(
     `batch_hook(orbit_ordinal, index_array)` is invoked on every block of
     states as it is discovered (including the seed), which lets callers
     audit per-orbit invariants without storing orbit membership.  Refuses
-    to run when the visited bitmap would not fit the configured budget
-    (env MCGORBITS_BITMAP_BUDGET, bytes).
+    to run when the visited bitmap, plus the parent-link arrays when
+    `record_paths` is true, would not fit the configured budget (env
+    MCGORBITS_BITMAP_BUDGET, bytes).  With `record_paths=None` the links
+    are recorded only when the space has at most PATHS_AUTO_LIMIT states
+    and they fit the budget.
     """
     start = time.monotonic()
     size = params.size
     nbytes = (size + 7) // 8
+    path_bytes = PATH_BYTES_PER_STATE * size
     budget = bitmap_budget()
-    if nbytes > budget:
-        raise BudgetExceededError(
-            f"visited bitmap needs {nbytes} bytes for {size} states, "
-            f"budget is {budget}; raise {BUDGET_ENV} to proceed")
     if record_paths is None:
-        record_paths = size <= PATHS_AUTO_LIMIT
+        record_paths = size <= PATHS_AUTO_LIMIT and nbytes + path_bytes <= budget
+    if nbytes + (path_bytes if record_paths else 0) > budget:
+        paths = f" and path arrays need {path_bytes} bytes" if record_paths else ""
+        raise BudgetExceededError(
+            f"visited bitmap needs {nbytes} bytes{paths} for {size} states, "
+            f"budget is {budget}; raise {BUDGET_ENV} to proceed")
     if thread_count < 1:
         raise ValueError("thread_count must be >= 1")
 

@@ -5,11 +5,17 @@ The block twists act on one (alpha_i, beta_i) pair through the matrices
     L = [[1, 0], [-1, 1]]   (the A twist)
     R = [[1, 1], [0, 1]]    (the B twist)
 
-which generate all of SL(2, Z/nZ).  The normalizer needs words in these
-letters that move a given pair to a prescribed one; at desk scale the
-pair space has only n^2 states, so a breadth-first table gives shortest
-words and guaranteed termination, and every returned word is replayable
-through the twist action for verification.
+which generate all of SL(2, Z/nZ).  A `BlockWord` is a word in powers of
+these letters; it replays on a pair and translates to A_i/B_i twist
+tokens on any block.
+
+The normalizer's block moves are built in closed form: `clear_alpha`
+runs the Euclidean algorithm on the integer representatives of (a, b),
+one power token per division step, so its words have O(log n) tokens
+and need no tables.  Breadth-first search over the n^2 pair states
+(`solve_pair`) and over the group (`generate_sl2`) gives shortest words;
+it is kept as the reference the tests and `verify --suite sl2` check
+against, and no normalize path calls it.
 """
 
 from __future__ import annotations
@@ -23,46 +29,62 @@ import numpy as np
 
 from .action import Generator, GeneratorWord
 
-# letter codes, in the fixed edge order used by all BFS tables
-LETTERS = ("L", "L^-1", "R", "R^-1")
+# letter codes L, L^-1, R, R^-1 = 0..3, in the fixed edge order used by
+# all BFS tables
 _LETTER_KIND = ("A", "A", "B", "B")
 _LETTER_EXP = (1, -1, 1, -1)
+_L, _L_INV, _R_INV = 0, 1, 3
 
 
-def letter_matrix(code: int, n: int) -> np.ndarray:
-    kind, e = _LETTER_KIND[code], _LETTER_EXP[code]
+def _kind_matrix(kind: str, e: int, n: int) -> np.ndarray:
     if kind == "A":
         return np.array([[1, 0], [-e, 1]], dtype=np.int64) % n
     return np.array([[1, e], [0, 1]], dtype=np.int64) % n
 
 
+def letter_matrix(code: int, n: int) -> np.ndarray:
+    return _kind_matrix(_LETTER_KIND[code], _LETTER_EXP[code], n)
+
+
+def _signed_letters(codes: tuple, powers: tuple | None) -> list:
+    """(twist kind, signed exponent) per letter, in application order."""
+    powers = powers or (1,) * len(codes)
+    return [(_LETTER_KIND[c], _LETTER_EXP[c] * k) for c, k in zip(codes, powers)]
+
+
 @dataclass(frozen=True)
 class BlockWord:
-    """Word over {L, L^-1, R, R^-1}, first letter applied first."""
+    """Word over {L, L^-1, R, R^-1}, first letter applied first.
+
+    Letter `codes[j]` is raised to the power `powers[j]`; None means every
+    letter appears once, as in the breadth-first words.
+    """
 
     codes: tuple
+    powers: tuple | None = None
 
     def __len__(self):
         return len(self.codes)
 
     def __str__(self):
-        return " ".join(LETTERS[c] for c in self.codes)
+        names = {"A": "L", "B": "R"}
+        return " ".join(names[kind] if e == 1 else f"{names[kind]}^{e}"
+                        for kind, e in _signed_letters(self.codes, self.powers))
 
     def matrix(self, n: int) -> np.ndarray:
         m = np.eye(2, dtype=np.int64)
-        for c in self.codes:
-            m = (letter_matrix(c, n) @ m) % n
+        for kind, e in _signed_letters(self.codes, self.powers):
+            m = (_kind_matrix(kind, e, n) @ m) % n
         return m
 
     def on_block(self, block: int) -> GeneratorWord:
         """Translate to A/B twist tokens acting on the given 1-based block."""
-        return _tokens_on_block(self.codes, block)
+        return _tokens_on_block(self.codes, self.powers, block)
 
     def apply(self, pair, n: int) -> tuple:
         a, b = pair[0] % n, pair[1] % n
-        for c in self.codes:
-            e = _LETTER_EXP[c]
-            if _LETTER_KIND[c] == "A":
+        for kind, e in _signed_letters(self.codes, self.powers):
+            if kind == "A":
                 b = (b - e * a) % n
             else:
                 a = (a + e * b) % n
@@ -73,9 +95,9 @@ EMPTY_BLOCK_WORD = BlockWord(())
 
 
 @lru_cache(maxsize=65536)
-def _tokens_on_block(codes: tuple, block: int) -> GeneratorWord:
+def _tokens_on_block(codes: tuple, powers: tuple | None, block: int) -> GeneratorWord:
     return GeneratorWord(tuple(
-        Generator(_LETTER_KIND[c], block, _LETTER_EXP[c]) for c in codes))
+        Generator(kind, block, e) for kind, e in _signed_letters(codes, powers)))
 
 
 @lru_cache(maxsize=512)
@@ -124,22 +146,39 @@ def pair_content(pair, n: int) -> int:
 
 
 def clear_alpha(pair, n: int) -> BlockWord:
-    """Shortest word sending (a, b) to some (0, b'); replay-verified."""
+    """Word sending (a, b) to (0, gcd(a, b)), read on representatives in [0, n).
+
+    Its length is at most 2*ceil(log2 n) + 4 tokens, and the image keeps
+    the pair content gcd(a, b, n).
+    """
     if n == 1:
         return EMPTY_BLOCK_WORD
-    return _clear_alpha_cached(pair[0] % n, pair[1] % n, n)
+    return _euclid_word(pair[0] % n, pair[1] % n)
 
 
 @lru_cache(maxsize=65536)
-def _clear_alpha_cached(a: int, b: int, n: int) -> BlockWord:
-    dist, parent, letter = _pair_bfs(n, a + n * b)
-    candidates = [n * bb for bb in range(n) if dist[n * bb] >= 0]
-    if not candidates:
-        raise RuntimeError(f"no (0, *) state reachable from ({a}, {b}) mod {n}")
-    target = min(candidates, key=lambda q: (int(dist[q]), q))
-    word = _walk(parent, letter, target)
-    assert word.apply((a, b), n)[0] == 0
-    return word
+def _euclid_word(a: int, b: int) -> BlockWord:
+    """Euclidean reduction of the integer pair (a, b) >= 0 to (0, gcd).
+
+    R^-q sends (a, b) to (a - q*b, b) and L^q sends (a, b) to (a, b - q*a),
+    so each division step is one power token.  Every intermediate pair
+    stays in [0, max(a, b)], so the word acts the same modulo any n
+    above both entries.  A reduction that stops at (d, 0) finishes with
+    L^-1 R^-1: (d, 0) -> (d, d) -> (0, d).
+    """
+    codes, powers = [], []
+    while a and b:
+        if a >= b:
+            q, a = divmod(a, b)
+            codes.append(_R_INV)
+        else:
+            q, b = divmod(b, a)
+            codes.append(_L)
+        powers.append(q)
+    if a:
+        codes += [_L_INV, _R_INV]
+        powers += [1, 1]
+    return BlockWord(tuple(codes), tuple(powers))
 
 
 def solve_pair(pair_from, pair_to, n: int):

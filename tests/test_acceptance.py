@@ -196,7 +196,13 @@ def test_criterion_10_euler_cocycle():
 
     sampled = 0
     crossing_checked = 0
+    draws = 0
     while sampled < 200:
+        if draws == 20 * 200:
+            pytest.fail(f"cocycle sampling stopped after {draws} attempts: "
+                        f"{draws - sampled} rejected as ill-conditioned, "
+                        f"{sampled} of 200 samples accepted")
+        draws += 1
         w1, w2 = rand_word(), rand_word()
         try:
             value = cocycle(group, w1, w2)

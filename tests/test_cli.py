@@ -2,6 +2,7 @@
 
 import json
 
+from mcgorbits import euler
 from mcgorbits.cli import main
 
 
@@ -78,6 +79,16 @@ def test_orbits_budget_refusal(capsys, monkeypatch):
     assert "bytes" in err
 
 
+def test_malformed_budget_is_a_clean_error(capsys, monkeypatch):
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "abc")
+    for argv in (("orbits", "--g", "2", "--n", "2"),
+                 ("verify", "--suite", "theorem", "--max-states", "100")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == ("error: MCGORBITS_BITMAP_BUDGET must be a non-negative "
+                       "integer byte count, got 'abc'\n")
+
+
 def test_apply_word(capsys):
     code, out, _ = run(capsys, "apply", "--g", "2", "--n", "2",
                        "--element", "0,0,0,0", "--word", "C1")
@@ -140,3 +151,31 @@ def test_cocycle_sampling_deterministic(capsys):
     for sample in data["samples"]:
         assert sample["c"] in (-1, 0, 1)
         assert sample["residual"] < 1e-6
+
+
+def _always_ill_conditioned(monkeypatch):
+    """Make every sampled pair ill-conditioned; named words still evaluate."""
+    real = euler.cocycle
+
+    def cocycle(group, w1, w2):
+        if isinstance(w1, str):
+            return real(group, w1, w2)
+        raise euler.IllConditionedError("forced by the test")
+
+    monkeypatch.setattr(euler, "cocycle", cocycle)
+
+
+def test_cocycle_sampling_is_capped(capsys, monkeypatch):
+    _always_ill_conditioned(monkeypatch)
+    code, out, err = run(capsys, "cocycle", "--pairs", "5")
+    assert code == 2 and out == ""
+    assert "cocycle sampling stopped after 100 attempts: 100 rejected" in err
+    assert "0 of 5 samples accepted" in err
+
+
+def test_verify_cocycle_sampling_is_capped(capsys, monkeypatch):
+    _always_ill_conditioned(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", "cocycle", "--samples", "5")
+    assert code == 1
+    assert ("FAIL cocycle sampling stopped after 100 attempts: "
+            "100 rejected as ill-conditioned, 0 of 5 samples accepted") in out

@@ -1,12 +1,15 @@
 """Tests for canonical reduction and word certificates."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcgorbits.action import apply_word, word_action
 from mcgorbits.invariants import vanishing_number
-from mcgorbits.normalize import macro_word, normalize, same_orbit
+from mcgorbits.normalize import _shift_word, macro_word, normalize, same_orbit
+from mcgorbits.sl2 import _pair_bfs
 from mcgorbits.space import (
     SpaceParams, apply_affine, decode, make_element, zero_element,
 )
@@ -95,6 +98,43 @@ def test_parity_macro_all_beta_up_to_12():
                 y = apply_word(w, x)
                 expected = [0] * (2 * g - 1) + [(beta + 2) % n]
                 assert y == make_element(p, expected), (g, n, beta)
+
+
+def test_shift_word_all_k_and_beta_up_to_12():
+    for n in range(1, 13):
+        for g in (2, 3):
+            p = params(g, n)
+            for beta in range(n):
+                x = make_element(p, [0] * (2 * g - 1) + [beta])
+                for k in range(n):
+                    w = _shift_word(k, beta, g, n)
+                    assert len(w) <= 7
+                    expected = [0] * (2 * g - 1) + [(2 * k - beta) % n]
+                    assert apply_word(w, x) == make_element(p, expected), \
+                        (g, n, beta, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.integers(2, 6), n=st.integers(1, 10 ** 4), data=st.data())
+def test_certificates_replay_with_bounded_length(g, n, data):
+    coords = data.draw(st.lists(st.integers(0, n - 1), min_size=2 * g,
+                                max_size=2 * g))
+    x = make_element(params(g, n), coords)
+    form, cert = normalize(x)
+    assert cert.replays()
+    assert apply_word(cert.word, x) == form.representative
+    log_n = math.ceil(math.log2(n)) if n > 1 else 0
+    assert len(cert.word) <= g * (2 * log_n + 4) + g + 6
+
+
+def test_large_n_builds_no_pair_tables():
+    _pair_bfs.cache_clear()
+    p = params(2, 1000)
+    rng = random.Random(41)
+    for _ in range(50):
+        x = make_element(p, [rng.randrange(1000) for _ in range(4)])
+        assert normalize(x)[1].replays()
+    assert _pair_bfs.cache_info().currsize == 0
 
 
 def test_beta_concentration_telescopes():

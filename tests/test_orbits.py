@@ -9,7 +9,7 @@ from mcgorbits.action import Generator
 from mcgorbits.invariants import vanishing_number, vanishing_number_array
 from mcgorbits.normalize import normalize
 from mcgorbits.orbits import (
-    BudgetExceededError, MOD, MOD_PM, OrbitMismatchError,
+    BudgetConfigError, BudgetExceededError, MOD, MOD_PM, OrbitMismatchError,
     PathsUnavailableError, enumerate_orbits, signed_generators, trace_path,
 )
 from mcgorbits.space import (
@@ -171,6 +171,29 @@ def test_budget_refusal(monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         enumerate_orbits(params(3, 2))
     assert "bytes" in str(err.value)
+
+
+def test_path_arrays_count_against_budget(monkeypatch):
+    # (2, 4): 256 states, a 32-byte bitmap and 2560 bytes of path arrays
+    p = params(2, 4, strict=False)
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "1000")
+    assert enumerate_orbits(p, record_paths=False).orbit_count == 2
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_orbits(p, record_paths=True)
+    assert "32 bytes" in str(err.value) and "2560 bytes" in str(err.value)
+    # left to decide, the engine skips the links it cannot afford
+    report = enumerate_orbits(p)
+    assert report.orbit_count == 2 and report.forest is None
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "2592")
+    assert enumerate_orbits(p, record_paths=True).forest is not None
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "1.5", ""])
+def test_malformed_budget_is_a_typed_error(monkeypatch, raw):
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", raw)
+    with pytest.raises(BudgetConfigError) as err:
+        enumerate_orbits(params(2, 2))
+    assert f"got {raw!r}" in str(err.value)
 
 
 def test_report_serialization():

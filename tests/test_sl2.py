@@ -1,6 +1,7 @@
 """Tests for the single-block SL(2, Z/nZ) word solver."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -123,3 +124,31 @@ def test_block_word_round_trips_through_word_grammar():
     w = clear_alpha((1, 1), 5).on_block(2)
     from mcgorbits.action import format_word
     assert parse_word(format_word(w)) == w
+
+
+def test_clear_alpha_agrees_with_bfs_oracle():
+    # every pair for n <= 12: alpha cleared, content kept, and the image
+    # is one the breadth-first solver reaches too
+    for n in range(1, 13):
+        bound = 2 * math.ceil(math.log2(n)) + 4 if n > 1 else 0
+        for a in range(n):
+            for b in range(n):
+                word = clear_alpha((a, b), n)
+                image = word.apply((a, b), n)
+                assert image[0] == 0, (n, a, b)
+                assert pair_content(image, n) == pair_content((a, b), n)
+                oracle = solve_pair((a, b), image, n)
+                assert oracle is not None and oracle.apply((a, b), n) == image
+                assert len(word) <= bound, (n, a, b, str(word))
+
+
+def test_power_words_match_unit_letters():
+    # a power word acts as its letters repeated, as a matrix and on blocks
+    word = clear_alpha((7, 3), 11)
+    unit = BlockWord(tuple(c for c, k in zip(word.codes, word.powers)
+                           for _ in range(k)))
+    assert np.array_equal(word.matrix(11), unit.matrix(11))
+    assert word.apply((7, 3), 11) == unit.apply((7, 3), 11) == (0, 1)
+    # (7, 3) -> (1, 3) -> (1, 0) -> (1, 1) -> (0, 1)
+    assert str(word) == "R^-2 L^3 L^-1 R^-1"
+    assert str(word.on_block(2)) == "B2^-2 A2^3 A2^-1 B2^-1"
