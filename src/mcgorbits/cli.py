@@ -35,6 +35,17 @@ class CliError(Exception):
     """Fatal argument or input error; message goes to stderr."""
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _space(args) -> SpaceParams:
     strict = not getattr(args, "allow_invalid_euler", False)
     try:
@@ -358,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="enumerate all orbits exhaustively")
     add_space_flags(p)
     p.add_argument("--gens", choices=GENERATOR_SETS, default=MOD)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_orbits)
 
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=int, default=2, help="genus for cocycle checks")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cocycle", help="sample cocycle values as JSON")

@@ -3,15 +3,28 @@
 The full state space has n^(2g) points; orbits under the twist
 generators are found by repeated breadth-first sweeps over a bit-packed
 visited set (one bit per state).  Generator application never builds
-matrices in the inner loop: each signed generator changes at most two
-beta digits of the mixed-radix state index by an amount that depends on
-a handful of digits, so it is precompiled into a flat lookup table of
-index deltas and applied to whole frontier chunks with numpy.
+matrices in the inner loop: each generator changes at most two beta
+digits (s: every alpha digit) of the mixed-radix state index by an
+amount that depends on a handful of digits, so it is precompiled into a
+flat lookup table of index deltas and applied to whole frontier chunks
+with numpy.
 
-Orbit representatives are the minimal state indices, a total order
-independent of search order, and the partition (counts, sizes,
-representatives) is identical for every thread count.  Parent links for
-path certificates are optional and off by default on large spaces.
+The search uses the positive generators only: A_i, B_i, C_i with
+exponent +1, plus s for mod_pm.  Each of them permutes the finite state
+space, so it has finite order m there and its inverse acts as its
+(m-1)-th power; the states reachable by positive words are therefore
+exactly the group orbit (the orbits of a finite Schreier graph are its
+strongly connected components).  That halves the work of searching
+with the signed list.
+
+Each frontier chunk is expanded by min(thread_count, #generators)
+workers, each taking a contiguous slice of the generator list and only
+reading the visited set; their batches are then committed on the
+calling thread in generator order.  Orbit representatives are the
+minimal state indices, a total order independent of search order, and
+the partition, the batches passed to the hook and the parent links are
+identical for every thread count.  Parent links for path certificates
+are optional and off by default on large spaces.
 """
 
 from __future__ import annotations
@@ -58,22 +71,38 @@ class OrbitMismatchError(ValueError):
     """Queried element lies in a different orbit than the representative."""
 
 
-def signed_generators(params: SpaceParams, selector: GeneratorSet) -> list:
-    """The generator list, closed under inverses, in a fixed order."""
+def positive_generators(params: SpaceParams, selector: GeneratorSet) -> tuple:
+    """A_i, B_i and C_i with exponent +1, plus s for mod_pm, in a fixed order.
+
+    Each generator permutes the finite state space, so its inverse is one
+    of its positive powers; these 3g - 1 (or 3g) tokens therefore reach
+    the same orbits as the full signed list.
+    """
     if selector not in GENERATOR_SETS:
         raise ValueError(f"unknown generator set {selector!r}")
     gens = []
     for i in range(1, params.g + 1):
-        gens.append(Generator("A", i, 1))
-        gens.append(Generator("A", i, -1))
-        gens.append(Generator("B", i, 1))
-        gens.append(Generator("B", i, -1))
-    for i in range(1, params.g):
-        gens.append(Generator("C", i, 1))
-        gens.append(Generator("C", i, -1))
+        gens.append(Generator("A", i))
+        gens.append(Generator("B", i))
+    gens.extend(Generator("C", i) for i in range(1, params.g))
     if selector == MOD_PM:
         gens.append(Generator("s"))
-    return gens
+    return tuple(gens)
+
+
+def generator_groups(count: int, thread_count: int) -> list:
+    """Contiguous [lo, hi) slices of a list of `count` generators, one per
+    worker, for min(thread_count, count) workers."""
+    workers = min(thread_count, count)
+    return [(count * k // workers, count * (k + 1) // workers)
+            for k in range(workers)]
+
+
+def _unvisited(visited: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Boolean mask: which of the state indices have their bit still clear."""
+    bits = visited[idx >> 3]
+    bits &= _BITS[idx & 7]
+    return bits == 0
 
 
 def _compile_generator(gen: Generator, params: SpaceParams):
@@ -131,7 +160,9 @@ def _table_apply(stride: int, keysize: int, delta: np.ndarray):
         return apply_pow2
 
     def apply(idx):
-        return idx + delta[(idx // stride) % keysize]
+        key = idx // stride
+        key -= key // keysize * keysize  # key % keysize: numpy divides faster
+        return idx + delta[key]
 
     return apply
 
@@ -221,6 +252,14 @@ def enumerate_orbits(
 ) -> OrbitReport:
     """Partition the whole space into orbits of the chosen generator set.
 
+    The breadth-first search applies only the positive generators (see
+    `positive_generators`): each permutes the finite space, so the states
+    they reach from a seed form its whole orbit under the group.  Every
+    frontier chunk is split by generator across min(thread_count,
+    #generators) workers and committed in generator order, so the result,
+    the hook calls and the parent links (positive words for `trace_path`)
+    do not depend on `thread_count`.
+
     `batch_hook(orbit_ordinal, index_array)` is invoked on every block of
     states as it is discovered (including the seed), which lets callers
     audit per-orbit invariants without storing orbit membership.  Refuses
@@ -245,98 +284,94 @@ def enumerate_orbits(
     if thread_count < 1:
         raise ValueError("thread_count must be >= 1")
 
-    generators = tuple(signed_generators(params, gens))
+    generators = positive_generators(params, gens)
     appliers = [_compile_generator(gen, params) for gen in generators]
+    groups = generator_groups(len(appliers), thread_count)
     visited = np.zeros(nbytes, dtype=np.uint8)
     parent = parent_gen = None
     if record_paths:
         parent = np.full(size, -1, dtype=np.int64)
         parent_gen = np.full(size, -1, dtype=np.int16)
 
-    pool = ThreadPoolExecutor(thread_count) if thread_count > 1 else None
-
-    def expand(chunk):
-        # read-only against `visited`; safe to run concurrently
-        results = []
-        for gen_id, apply_gen in enumerate(appliers):
-            nxt = apply_gen(chunk)
-            fresh = ((visited[nxt >> 3] >> (nxt & 7)) & 1) == 0
-            results.append((gen_id, nxt[fresh], chunk[fresh]))
-        return results
+    def expand(chunk, lo, hi):
+        # reads `visited` only: no commit runs until every group is done
+        batches = []
+        for gen_id in range(lo, hi):
+            nxt = appliers[gen_id](chunk)
+            fresh = np.flatnonzero(_unvisited(visited, nxt))
+            batches.append((gen_id, nxt[fresh],
+                            chunk[fresh] if record_paths else None))
+        return batches
 
     def commit(batches, orbit_ordinal):
-        added = 0
+        # a generator is a bijection and the frontier holds distinct
+        # states, so each batch is duplicate-free; states shared between
+        # batches are dropped here, the earliest generator keeping them
         parts = []
         for gen_id, nxt, pred in batches:
-            if nxt.size == 0:
+            fresh = np.flatnonzero(_unvisited(visited, nxt))
+            if fresh.size == 0:
                 continue
-            fresh = ((visited[nxt >> 3] >> (nxt & 7)) & 1) == 0
-            nxt, pred = nxt[fresh], pred[fresh]
-            if nxt.size == 0:
-                continue
-            nxt, first = np.unique(nxt, return_index=True)
+            nxt = nxt[fresh]
             np.bitwise_or.at(visited, nxt >> 3, _BITS[nxt & 7])
             if record_paths:
-                parent[nxt] = pred[first]
+                parent[nxt] = pred[fresh]
                 parent_gen[nxt] = gen_id
             if batch_hook is not None:
                 batch_hook(orbit_ordinal, nxt)
             parts.append(nxt)
-            added += nxt.size
-        return added, parts
+        return parts
 
+    # the calling thread expands the first group, the pool the others
+    pool = ThreadPoolExecutor(len(groups) - 1) if len(groups) > 1 else None
     summaries = []
     scan_byte = 0  # all bytes before this are 0xFF
-    while True:
-        # find the next unvisited state: its index is the orbit minimum
-        while scan_byte < nbytes and visited[scan_byte] == 0xFF:
-            hit = np.nonzero(visited[scan_byte:] != 0xFF)[0]
-            if hit.size == 0:
-                scan_byte = nbytes
+    try:
+        while True:
+            # find the next unvisited state: its index is the orbit minimum
+            while scan_byte < nbytes and visited[scan_byte] == 0xFF:
+                hit = np.nonzero(visited[scan_byte:] != 0xFF)[0]
+                if hit.size == 0:
+                    scan_byte = nbytes
+                    break
+                scan_byte += int(hit[0])
+            if scan_byte >= nbytes:
                 break
-            scan_byte += int(hit[0])
-        if scan_byte >= nbytes:
-            break
-        byte = int(visited[scan_byte])
-        bit = (~byte & (byte + 1)).bit_length() - 1  # lowest zero bit
-        seed = scan_byte * 8 + bit
-        if seed >= size:
-            break
+            byte = int(visited[scan_byte])
+            bit = (~byte & (byte + 1)).bit_length() - 1  # lowest zero bit
+            seed = scan_byte * 8 + bit
+            if seed >= size:
+                break
 
-        visited[scan_byte] |= 1 << bit
-        orbit_ordinal = len(summaries)
-        if batch_hook is not None:
-            batch_hook(orbit_ordinal, np.array([seed], dtype=np.int64))
-        orbit_size = 1
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            chunks = [frontier[lo:lo + chunk_size]
-                      for lo in range(0, frontier.size, chunk_size)]
-            parts = []
-            if pool is None or len(chunks) == 1:
-                for chunk in chunks:
-                    added, new_parts = commit(expand(chunk), orbit_ordinal)
-                    orbit_size += added
-                    parts.extend(new_parts)
-            else:
-                # bounded submission keeps candidate arrays from piling up;
-                # commits run on this thread in chunk order, so the parent
-                # links and the partition are thread-count independent
-                for base in range(0, len(chunks), thread_count):
-                    futures = [pool.submit(expand, chunk)
-                               for chunk in chunks[base:base + thread_count]]
+            visited[scan_byte] |= 1 << bit
+            orbit_ordinal = len(summaries)
+            if batch_hook is not None:
+                batch_hook(orbit_ordinal, np.array([seed], dtype=np.int64))
+            orbit_size = 1
+            frontier = np.array([seed], dtype=np.int64)
+            while frontier.size:
+                parts = []
+                for lo in range(0, frontier.size, chunk_size):
+                    chunk = frontier[lo:lo + chunk_size]
+                    futures = [pool.submit(expand, chunk, *group)
+                               for group in groups[1:]]
+                    batches = expand(chunk, *groups[0])
                     for future in futures:
-                        added, new_parts = commit(future.result(), orbit_ordinal)
-                        orbit_size += added
-                        parts.extend(new_parts)
-            frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+                        batches.extend(future.result())
+                    # commits run on this thread in generator order, so the
+                    # parent links are the same for every thread count
+                    parts.extend(commit(batches, orbit_ordinal))
+                if not parts:
+                    break
+                frontier = np.concatenate(parts)
+                orbit_size += frontier.size
 
-        rep = decode(seed, params)
-        v = vanishing_number(rep) if params.n % 2 == 0 else None
-        summaries.append(OrbitSummary(rep, orbit_size, v))
-
-    if pool is not None:
-        pool.shutdown()
+            rep = decode(seed, params)
+            v = vanishing_number(rep) if params.n % 2 == 0 else None
+            summaries.append(OrbitSummary(rep, orbit_size, v))
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     total = sum(o.size for o in summaries)
     if total != size:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 
 class DimensionError(ValueError):
@@ -155,6 +154,8 @@ class AffineMap:
 
     def inverse(self) -> "AffineMap":
         """Two-sided affine inverse; raises ValueError if L is singular mod n."""
+        import sympy  # deferred: it costs more to import than the package
+
         try:
             linv = sympy.Matrix(self.linear.tolist()).inv_mod(self.n)
         except (ValueError, sympy.matrices.exceptions.NonInvertibleMatrixError) as exc:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mcgorbits import euler
 from mcgorbits.cli import main
 
@@ -87,6 +89,19 @@ def test_malformed_budget_is_a_clean_error(capsys, monkeypatch):
         assert code == 2
         assert err == ("error: MCGORBITS_BITMAP_BUDGET must be a non-negative "
                        "integer byte count, got 'abc'\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+@pytest.mark.parametrize("command", [("orbits", "--g", "2", "--n", "2"),
+                                     ("verify", "--suite", "theorem")])
+def test_bad_thread_count_is_a_usage_error(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--threads", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        f"error: argument --threads: must be a positive integer, got {value!r}")
 
 
 def test_apply_word(capsys):

@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from mcgorbits.action import Generator
+from mcgorbits.action import Generator, apply_token, apply_word
 from mcgorbits.invariants import vanishing_number, vanishing_number_array
 from mcgorbits.normalize import normalize
 from mcgorbits.orbits import (
     BudgetConfigError, BudgetExceededError, MOD, MOD_PM, OrbitMismatchError,
-    PathsUnavailableError, enumerate_orbits, signed_generators, trace_path,
+    PathsUnavailableError, _compile_generator, enumerate_orbits,
+    generator_groups, positive_generators, trace_path,
 )
 from mcgorbits.space import (
     SpaceParams, decode, decode_array, make_element, zero_element,
@@ -27,12 +28,36 @@ def test_one_point_space():
     assert report.orbits[0].size == 1
 
 
-def test_signed_generators_closed_under_inverses():
-    gens = signed_generators(params(3, 2), MOD)
-    assert len(gens) == 6 * 3 - 2
+@pytest.mark.parametrize("selector", [MOD, MOD_PM])
+def test_positive_generators_are_bijections(selector):
+    p = params(3, 3, strict=False)
+    gens = positive_generators(p, selector)
+    twists = [gen for gen in gens if gen.kind != "s"]
+    assert len(twists) == 3 * p.g - 1
+    assert all(gen.exponent == 1 for gen in twists)
+    assert (Generator("s") in gens) == (selector == MOD_PM)
+    states = np.arange(p.size, dtype=np.int64)
+    coords = decode_array(states, p)
     for gen in gens:
-        assert gen.inverse() in gens
-    assert Generator("s") in signed_generators(params(3, 2), MOD_PM)
+        image = _compile_generator(gen, p)(states)
+        assert np.array_equal(np.sort(image), states), f"{gen} is not a bijection"
+        # the compiled table agrees with the token replay
+        for idx in (0, 1, 100, p.size - 1):
+            row = coords[idx].tolist()
+            apply_token(gen, row, p)
+            assert decode(int(image[idx]), p).coords == tuple(row)
+
+
+def test_generator_groups_cover_the_list():
+    for count in (1, 5, 6, 20):
+        for threads in (1, 2, 3, 64):
+            groups = generator_groups(count, threads)
+            assert len(groups) == min(threads, count)
+            assert groups[0][0] == 0 and groups[-1][1] == count
+            assert all(lo < hi for lo, hi in groups)
+            assert all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
+    # far more threads than the 5 positive generators at g=2: one each
+    assert generator_groups(5, 64) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 def test_g2_n2_orbits():
@@ -79,13 +104,89 @@ def test_mod_pm_partition_coincides():
                [(o.representative, o.size) for o in rep_pm.orbits]
 
 
-def test_determinism_across_thread_counts():
-    p = params(3, 2)
-    reports = [enumerate_orbits(p, MOD, thread_count=k, chunk_size=7)
-               for k in (1, 2, 3)]
-    base = [(o.representative, o.size, o.vanishing_number) for o in reports[0].orbits]
-    for rep in reports[1:]:
-        assert [(o.representative, o.size, o.vanishing_number) for o in rep.orbits] == base
+@pytest.mark.parametrize("selector", [MOD, MOD_PM])
+def test_determinism_across_thread_counts(selector):
+    p = params(3, 3, strict=False)
+    runs = []
+    for k in (1, 2, 3):
+        calls = []
+        report = enumerate_orbits(
+            p, selector, thread_count=k, record_paths=True, chunk_size=7,
+            batch_hook=lambda ordinal, batch: calls.append(
+                (ordinal, batch.tolist())))
+        runs.append((report, calls))
+    base, base_calls = runs[0]
+    unchunked = []
+    enumerate_orbits(p, selector, record_paths=False,
+                     batch_hook=lambda ordinal, batch: unchunked.append(ordinal))
+    assert len(base_calls) > len(unchunked)  # frontiers span several chunks
+    for report, calls in runs[1:]:
+        assert report.orbits == base.orbits
+        assert np.array_equal(report.forest.parent, base.forest.parent)
+        assert np.array_equal(report.forest.parent_gen, base.forest.parent_gen)
+        assert calls == base_calls
+    for i in range(p.size):
+        cert = trace_path(base, decode(i, p))
+        assert all(t.exponent == 1 for t in cert.word.tokens)
+        assert apply_word(cert.word, cert.source) == decode(i, p)
+
+
+def test_more_threads_than_generators():
+    p = params(2, 2)
+    assert enumerate_orbits(p, thread_count=64).orbits == enumerate_orbits(p).orbits
+
+
+def _reference_orbits(p, selector):
+    """(representative index, size) per orbit, by union-find over every
+    signed generator replayed with action.apply_token: no compiled table."""
+    gens = []
+    for i in range(1, p.g + 1):
+        gens += [Generator(kind, i, e) for kind in "AB" for e in (1, -1)]
+    gens += [Generator("C", i, e) for i in range(1, p.g) for e in (1, -1)]
+    if selector == MOD_PM:
+        gens.append(Generator("s"))
+    states = [decode(idx, p).coords for idx in range(p.size)]
+    index_of = {coords: idx for idx, coords in enumerate(states)}
+    root = list(range(p.size))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for idx, coords in enumerate(states):
+        for gen in gens:
+            image = list(coords)
+            apply_token(gen, image, p)
+            a, b = find(idx), find(index_of[tuple(image)])
+            if a != b:
+                root[max(a, b)] = min(a, b)  # roots stay orbit minima
+    sizes = {}
+    for idx in range(p.size):
+        r = find(idx)
+        sizes[r] = sizes.get(r, 0) + 1
+    return sorted(sizes.items())
+
+
+# every space of at most about 2e4 states (and n = 1 at several genera),
+# strict where n | 2g - 2 and strict_euler=False elsewhere
+REFERENCE_SPACES = ([(2, n) for n in range(1, 12)] + [(3, n) for n in range(1, 6)]
+                    + [(4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 2), (7, 1), (7, 2)])
+
+
+@pytest.mark.parametrize("selector", [MOD, MOD_PM])
+@pytest.mark.parametrize("g,n", REFERENCE_SPACES)
+def test_partition_matches_union_find_reference(g, n, selector):
+    p = params(g, n, strict=(2 * g - 2) % n == 0)
+    report = enumerate_orbits(p, selector, record_paths=False)
+    expected = _reference_orbits(p, selector)
+    assert report.orbit_count == len(expected)
+    assert [(o.representative, o.size) for o in report.orbits] == \
+           [(decode(r, p), size) for r, size in expected]
+    for o in report.orbits:
+        want = vanishing_number(o.representative) if n % 2 == 0 else None
+        assert o.vanishing_number == want
 
 
 def test_vanishing_constant_on_each_orbit_via_hook():

@@ -1,6 +1,10 @@
 """Tests for the state space: elements, indexing, affine maps."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,24 @@ def test_apply_affine_c_twist_matches_generator_route():
     assembled = AffineMap(2, cmap.linear, [0, 1, 0, 1])
     assert np.array_equal(cmap.translation, np.array([0, 1, 0, 1]))
     assert apply_affine(assembled, zero_element(p)).coords == (0, 1, 0, 1)
+
+
+def test_import_leaves_sympy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mcgorbits; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_inverse_of_singular_map_raises():
+    m = AffineMap(4, [[2, 0], [0, 1]], [1, 0])
+    with pytest.raises(ValueError, match="not invertible mod 4"):
+        m.inverse()
 
 
 def test_compose_identity_and_inverse():
