@@ -48,6 +48,25 @@ def test_positive_generators_are_bijections(selector):
             assert decode(int(image[idx]), p).coords == tuple(row)
 
 
+def test_signed_generators_closed_under_inverses():
+    # the positive list plus the inverse of each generator is the full
+    # signed list (6g - 2 tokens, closed under inverses), and each inverse
+    # table undoes its positive table, so the positive search loses nothing
+    p = params(3, 2)
+    gens = positive_generators(p, MOD)
+    signed = set(gens) | {gen.inverse() for gen in gens}
+    assert len(signed) == 6 * 3 - 2
+    for gen in signed:
+        assert gen.inverse() in signed
+    assert Generator("s") in positive_generators(p, MOD_PM)
+    p = params(3, 3, strict=False)  # at n = 2 every twist is an involution
+    states = np.arange(p.size, dtype=np.int64)
+    for gen in positive_generators(p, MOD_PM):
+        image = _compile_generator(gen, p)(states)
+        back = _compile_generator(gen.inverse(), p)(image)
+        assert np.array_equal(back, states), f"{gen.inverse()} does not undo {gen}"
+
+
 def test_generator_groups_cover_the_list():
     for count in (1, 5, 6, 20):
         for threads in (1, 2, 3, 64):
@@ -104,8 +123,12 @@ def test_mod_pm_partition_coincides():
                [(o.representative, o.size) for o in rep_pm.orbits]
 
 
-@pytest.mark.parametrize("selector", [MOD, MOD_PM])
-def test_determinism_across_thread_counts(selector):
+def test_determinism_across_thread_counts():
+    for selector in (MOD, MOD_PM):
+        _check_determinism_across_thread_counts(selector)
+
+
+def _check_determinism_across_thread_counts(selector):
     p = params(3, 3, strict=False)
     runs = []
     for k in (1, 2, 3):
