@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class Generator:
     def inverse(self) -> "Generator":
         if self.kind == "s":
             return self
-        return Generator(self.kind, self.index, -self.exponent)
+        return make_token(self.kind, self.index, -self.exponent)
 
     def __str__(self):
         if self.kind == "s":
@@ -75,6 +76,16 @@ class Generator:
         if self.exponent == 1:
             return f"{self.kind}{self.index}"
         return f"{self.kind}{self.index}^{self.exponent}"
+
+
+@lru_cache(maxsize=16384)
+def make_token(kind: str, index: int | None = None, exponent: int = 1) -> Generator:
+    """Interned token: each distinct (kind, index, exponent) is validated once.
+
+    Generators are immutable, so the word builders share one instance per
+    token instead of constructing and validating a new one on every call.
+    """
+    return Generator(kind, index, exponent)
 
 
 @dataclass(frozen=True)
@@ -106,15 +117,19 @@ class MultiTwist:
     exponents: tuple
 
     def to_word(self) -> GeneratorWord:
-        return GeneratorWord(tuple(
-            Generator("C", i + 1, k) for i, k in enumerate(self.exponents) if k != 0))
+        return GeneratorWord(tuple([
+            make_token("C", i + 1, k) for i, k in enumerate(self.exponents) if k != 0]))
+
+
+def _index_error(kind: str, index: int, g: int) -> ValueError:
+    top = g if kind in ("A", "B") else g - 1
+    return ValueError(f"{kind}{index} out of range for genus {g} (max {top})")
 
 
 def _check_index(gen: Generator, params: SpaceParams):
     top = params.g if gen.kind in ("A", "B") else params.g - 1
     if not 1 <= gen.index <= top:
-        raise ValueError(
-            f"{gen.kind}{gen.index} out of range for genus {params.g} (max {top})")
+        raise _index_error(gen.kind, gen.index, params.g)
 
 
 def generator_action(gen: Generator, params: SpaceParams) -> AffineMap:
@@ -182,37 +197,55 @@ def multi_twist_action(k: MultiTwist, params: SpaceParams) -> AffineMap:
     return AffineMap(n, lin, tra)
 
 
+def replay_tokens(tokens, coords: list, n: int, g: int) -> None:
+    """Apply tokens to a coordinate list in place, first token first.
+
+    This is the only place the A/B/C/s/D formulas are written as scalar
+    code; `apply_token`, `apply_word` and the normalizer's tracking all
+    run through it.  The index check is fused in: a token whose index does
+    not exist in genus g raises ValueError before it is applied (the
+    tokens before it stay applied).
+    """
+    for token in tokens:
+        kind, i, k = token.kind, token.index, token.exponent
+        if kind == "A":
+            if i > g:
+                raise _index_error(kind, i, g)
+            coords[2 * i - 1] = (coords[2 * i - 1] - k * coords[2 * i - 2]) % n
+        elif kind == "B":
+            if i > g:
+                raise _index_error(kind, i, g)
+            coords[2 * i - 2] = (coords[2 * i - 2] + k * coords[2 * i - 1]) % n
+        elif kind == "C":
+            if i >= g:
+                raise _index_error(kind, i, g)
+            b1 = 2 * i - 1
+            step = coords[b1 + 1] - coords[b1 - 1] + 1
+            coords[b1] = (coords[b1] + k * step) % n
+            coords[b1 + 2] = (coords[b1 + 2] - k * step) % n
+        elif kind == "s":
+            coords[0::2] = [-c % n for c in coords[0::2]]
+        elif i >= g:  # D acts as the identity
+            raise _index_error(kind, i, g)
+
+
 def apply_token(token: Generator, coords: list, params: SpaceParams) -> None:
-    """In-place token application to a coordinate list; replay fast path."""
-    n = params.n
-    k = token.exponent
-    if token.kind == "A":
-        a, b = 2 * token.index - 2, 2 * token.index - 1
-        coords[b] = (coords[b] - k * coords[a]) % n
-    elif token.kind == "B":
-        a, b = 2 * token.index - 2, 2 * token.index - 1
-        coords[a] = (coords[a] + k * coords[b]) % n
-    elif token.kind == "C":
-        a1, b1 = 2 * token.index - 2, 2 * token.index - 1
-        a2, b2 = 2 * token.index, 2 * token.index + 1
-        step = -coords[a1] + coords[a2] + 1
-        coords[b1] = (coords[b1] + k * step) % n
-        coords[b2] = (coords[b2] - k * step) % n
-    elif token.kind == "s":
-        for j in range(params.g):
-            coords[2 * j] = (-coords[2 * j]) % n
-    # D: identity
+    """Apply one token to a coordinate list in place.
+
+    Raises ValueError when the token's index does not exist in the genus.
+    """
+    replay_tokens((token,), coords, params.n, params.g)
 
 
 def apply_word(word: GeneratorWord, x: GnElement) -> GnElement:
-    """Replay a word on an element, first token first."""
+    """Replay a word on an element, first token first.
+
+    Raises ValueError on the first token whose index does not exist in
+    x's genus; x itself is never modified.
+    """
     params = x.params
-    for token in word.tokens:
-        if token.kind != "s":
-            _check_index(token, params)
     coords = list(x.coords)
-    for token in word.tokens:
-        apply_token(token, coords, params)
+    replay_tokens(word.tokens, coords, params.n, params.g)
     return GnElement(params, tuple(coords))
 
 
@@ -260,17 +293,19 @@ def simplify_word(word: GeneratorWord) -> GeneratorWord:
     word acts identically.
     """
     out: list = []
+    top = None  # out[-1], or None when out is empty
     for token in word.tokens:
-        if token.kind == "D":
+        kind = token.kind
+        if kind == "D":
             continue
-        if out and out[-1].kind == token.kind and out[-1].index == token.index:
-            if token.kind == "s":
-                out.pop()  # s is an involution
-                continue
-            merged = out[-1].exponent + token.exponent
+        if top is not None and top.kind == kind and top.index == token.index:
             out.pop()
-            if merged != 0:
-                out.append(Generator(token.kind, token.index, merged))
+            if kind != "s":  # s is an involution
+                merged = top.exponent + token.exponent
+                if merged != 0:
+                    out.append(make_token(kind, token.index, merged))
+            top = out[-1] if out else None
             continue
         out.append(token)
+        top = token
     return GeneratorWord(tuple(out))

@@ -35,14 +35,31 @@ class CliError(Exception):
     """Fatal argument or input error; message goes to stderr."""
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _int_at_least(low: int, name: str):
+    """argparse type for integers of at least `low`; `name` says so in errors."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {name}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_genus = _int_at_least(2, "an integer >= 2")
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a size bound that must be above 0."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        value = 0.0
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
 
 
@@ -286,9 +303,12 @@ def suite_invariants(args, chk: Checker) -> None:
 
 
 def suite_sl2(args, chk: Checker) -> None:
-    values = [args.n] if args.n else list(range(2, 13))
+    values = list(range(2, 13)) if args.n is None else [args.n]
     for n in values:
-        closure = len(generate_sl2(n))
+        try:
+            closure = len(generate_sl2(n))
+        except ValueError as exc:  # n^4 above the closure's cap
+            raise CliError(f"sl2 n={n}: {exc}") from None
         chk.check(f"sl2 n={n} closure size", closure, sl2_group_order(n))
 
 
@@ -344,6 +364,9 @@ def cmd_verify(args) -> int:
     for name in names:
         suites[name](args, chk)
     print(f"{chk.count - chk.failures}/{chk.count} checks passed")
+    if chk.count == 0:
+        print("error: no check ran; raise --max-states", file=sys.stderr)
+        return 1
     return 1 if chk.failures else 0
 
 
@@ -389,20 +412,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("theorem", "invariants", "sl2",
                                        "cocycle", "all"), required=True)
-    p.add_argument("--max-states", type=float, default=1e6,
+    p.add_argument("--max-states", type=_positive_float, default=1e6,
                    help="largest state space for exhaustive checks")
-    p.add_argument("--n", type=int, default=None, help="single modulus for sl2")
-    p.add_argument("--genus", type=int, default=2, help="genus for cocycle checks")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--n", type=_positive_int, default=None,
+                   help="single modulus for sl2")
+    p.add_argument("--genus", type=_genus, default=2, help="genus for cocycle checks")
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cocycle", help="sample cocycle values as JSON")
-    p.add_argument("--genus", type=int, default=2)
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--genus", type=_genus, default=2)
+    p.add_argument("--pairs", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=_positive_int, default=6)
     p.set_defaults(func=cmd_cocycle)
 
     return parser

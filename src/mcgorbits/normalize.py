@@ -15,6 +15,16 @@ Every word is built in closed form, with no search, so a certificate has
 at most g*(2*ceil(log2 n) + 4) + g + 6 tokens.  The emitted word is the
 concatenation of all stages, applied first token first, and replaying
 it on the input must land exactly on the canonical representative.
+
+Stage (i) is memoized per block: `_block_step` keeps, under
+(a, b, block, n), the block's tokens and the pair they send (a, b) to,
+computed once by replaying those tokens through the scalar kernel of
+`action` when the entry is filled.  Every token of stages (ii) and (iii)
+is applied to the tracked coordinates, the representative is read off
+them, and the landing check runs on every state; with `verify=True` the
+whole certificate is also replayed from the input.  The word caches
+(`_block_step`, `_shift_word`, and `sl2`'s and `action`'s token caches)
+are bounded LRU caches.
 """
 
 from __future__ import annotations
@@ -23,11 +33,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .action import (
-    EMPTY_WORD, Generator, GeneratorWord, MultiTwist, apply_token, apply_word,
+    EMPTY_WORD, GeneratorWord, MultiTwist, apply_word, make_token, replay_tokens,
     simplify_word,
 )
 from .sl2 import clear_alpha
-from .space import GnElement, SpaceParams, make_element
+from .space import GnElement, SpaceParams
 
 
 @dataclass(frozen=True)
@@ -56,10 +66,24 @@ def _signed_exponent(e: int, n: int) -> int:
     return e - n if e > n // 2 else e
 
 
-def _append(tokens: list, word: GeneratorWord, coords: list, params: SpaceParams):
-    for t in word.tokens:
-        tokens.append(t)
-        apply_token(t, coords, params)
+def _track(tokens: list, word_tokens: tuple, coords: list, n: int, g: int):
+    """Emit tokens, applying each to the tracked coordinates."""
+    tokens += word_tokens
+    replay_tokens(word_tokens, coords, n, g)
+
+
+@lru_cache(maxsize=32768)
+def _block_step(a: int, b: int, block: int, n: int) -> tuple:
+    """Stage (i) on one block: the tokens of `clear_alpha((a, b), n)` on
+    `block`, and the pair those tokens send (a, b) to.
+
+    The pair is found by replaying the tokens through the scalar kernel
+    when the entry is filled, so a hit applies none of them again.
+    """
+    word_tokens = clear_alpha((a, b), n).on_block(block).tokens
+    coords = [0] * (2 * block - 2) + [a, b]
+    replay_tokens(word_tokens, coords, n, block)
+    return word_tokens, (coords[-2], coords[-1])
 
 
 def normalize(x: GnElement, verify: bool = True):
@@ -79,9 +103,11 @@ def normalize(x: GnElement, verify: bool = True):
 
     # stage (i): clear the alphas block by block
     for i in range(1, g + 1):
-        a, b = coords[2 * i - 2], coords[2 * i - 1]
+        a = coords[2 * i - 2]
         if a != 0:
-            _append(tokens, clear_alpha((a, b), n).on_block(i), coords, params)
+            block_tokens, pair = _block_step(a, coords[2 * i - 1], i, n)
+            tokens += block_tokens
+            coords[2 * i - 2], coords[2 * i - 1] = pair
 
     # stage (ii): concentrate the betas into the last block
     exponents = []
@@ -89,7 +115,7 @@ def normalize(x: GnElement, verify: bool = True):
     for i in range(g - 1):
         acc = (acc + coords[2 * i + 1]) % n
         exponents.append(_signed_exponent(-acc, n))
-    _append(tokens, MultiTwist(tuple(exponents)).to_word(), coords, params)
+    _track(tokens, MultiTwist(tuple(exponents)).to_word().tokens, coords, n, g)
 
     # stage (iii): the shift reaches every 2k - b, that is every residue
     # of b's parity, so the target is 0 for odd n and b's parity for even n
@@ -97,9 +123,9 @@ def normalize(x: GnElement, verify: bool = True):
     target = 0 if n % 2 else beta % 2
     if beta != target:
         half = (target + beta) * pow(2, -1, n) if n % 2 else (target + beta) // 2
-        _append(tokens, _shift_word(half % n, beta, g, n), coords, params)
+        _track(tokens, _shift_word(half % n, beta, g, n).tokens, coords, n, g)
 
-    rep = make_element(params, coords)
+    rep = GnElement(params, tuple(coords))
     expected = (0,) * (2 * g - 1) + (target,)
     if rep.coords != expected:
         raise AssertionError(
@@ -131,7 +157,7 @@ def _shift_word(k: int, beta: int, g: int, n: int) -> GeneratorWord:
     for kind, index, e in parts:
         e = _signed_exponent(e, n)
         if e:
-            tokens.append(Generator(kind, index, e))
+            tokens.append(make_token(kind, index, e))
     return GeneratorWord(tuple(tokens))
 
 

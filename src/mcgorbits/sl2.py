@@ -27,7 +27,7 @@ from math import gcd
 
 import numpy as np
 
-from .action import Generator, GeneratorWord
+from .action import GeneratorWord, make_token
 
 # letter codes L, L^-1, R, R^-1 = 0..3, in the fixed edge order used by
 # all BFS tables
@@ -44,6 +44,15 @@ def _kind_matrix(kind: str, e: int, n: int) -> np.ndarray:
 
 def letter_matrix(code: int, n: int) -> np.ndarray:
     return _kind_matrix(_LETTER_KIND[code], _LETTER_EXP[code], n)
+
+
+def _letter_on_pair(kind: str, e: int, a: int, b: int, n: int) -> tuple:
+    """One letter power on a pair: A^e sends (a, b) to (a, b - e*a), B^e to
+    (a + e*b, b).  Word replay, the pair search and the group closure all
+    step through it."""
+    if kind == "A":
+        return a, (b - e * a) % n
+    return (a + e * b) % n, b
 
 
 def _signed_letters(codes: tuple, powers: tuple | None) -> list:
@@ -84,10 +93,7 @@ class BlockWord:
     def apply(self, pair, n: int) -> tuple:
         a, b = pair[0] % n, pair[1] % n
         for kind, e in _signed_letters(self.codes, self.powers):
-            if kind == "A":
-                b = (b - e * a) % n
-            else:
-                a = (a + e * b) % n
+            a, b = _letter_on_pair(kind, e, a, b, n)
         return a, b
 
 
@@ -97,7 +103,7 @@ EMPTY_BLOCK_WORD = BlockWord(())
 @lru_cache(maxsize=65536)
 def _tokens_on_block(codes: tuple, powers: tuple | None, block: int) -> GeneratorWord:
     return GeneratorWord(tuple(
-        Generator(kind, block, e) for kind, e in _signed_letters(codes, powers)))
+        make_token(kind, block, e) for kind, e in _signed_letters(codes, powers)))
 
 
 @lru_cache(maxsize=512)
@@ -117,11 +123,8 @@ def _pair_bfs(n: int, source: int):
         a, b = p % n, p // n
         d = dist[p] + 1
         for code in range(4):
-            e = _LETTER_EXP[code]
-            if _LETTER_KIND[code] == "A":
-                q = a + n * ((b - e * a) % n)
-            else:
-                q = ((a + e * b) % n) + n * b
+            a2, b2 = _letter_on_pair(_LETTER_KIND[code], _LETTER_EXP[code], a, b, n)
+            q = a2 + n * b2
             if dist[q] < 0:
                 dist[q] = d
                 parent[q] = p
@@ -217,15 +220,16 @@ def generate_sl2(n: int, cap: int = 10 ** 8) -> dict:
     identity = (1 % n, 0, 0, 1 % n)
     words = {identity: EMPTY_BLOCK_WORD}
     frontier = [identity]
-    mats = [letter_matrix(code, n) for code in range(4)]
     while frontier:
         new_frontier = []
         for cur in frontier:
-            m = np.array([[cur[0], cur[1]], [cur[2], cur[3]]], dtype=np.int64)
+            m00, m01, m10, m11 = cur
             for code in range(4):
-                prod = (mats[code] @ m) % n
-                key = (int(prod[0, 0]), int(prod[0, 1]),
-                       int(prod[1, 0]), int(prod[1, 1]))
+                # a letter times a matrix acts on each column as on a pair
+                kind, e = _LETTER_KIND[code], _LETTER_EXP[code]
+                c00, c10 = _letter_on_pair(kind, e, m00, m10, n)
+                c01, c11 = _letter_on_pair(kind, e, m01, m11, n)
+                key = (c00, c01, c10, c11)
                 if key not in words:
                     words[key] = BlockWord(words[cur].codes + (code,))
                     new_frontier.append(key)

@@ -4,11 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcgorbits.action import (
     EMPTY_WORD, Generator, GeneratorWord, MultiTwist, WordSyntaxError,
-    apply_word, format_word, generator_action, multi_twist_action,
-    parse_word, word_action,
+    apply_token, apply_word, format_word, generator_action, make_token,
+    multi_twist_action, parse_word, word_action,
 )
 from mcgorbits.space import (
     SpaceParams, apply_affine, linear_translation_split, make_element,
@@ -162,6 +163,68 @@ def test_word_action_matches_token_replay():
         m = word_action(w, p)
         x = make_element(p, [rng.randrange(6) for _ in range(6)])
         assert apply_affine(m, x) == apply_word(w, x)
+
+
+@st.composite
+def _space_and_word(draw):
+    g = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 60))
+    exponent = st.integers(-3 * n, 3 * n).filter(bool)
+    tokens = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from("ABCDs"))
+        if kind == "s":
+            tokens.append(Generator("s"))
+        else:
+            top = g if kind in "AB" else g - 1
+            tokens.append(Generator(kind, draw(st.integers(1, top)), draw(exponent)))
+    coords = draw(st.lists(st.integers(0, n - 1), min_size=2 * g, max_size=2 * g))
+    return params(g, n), GeneratorWord(tuple(tokens)), coords
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_space_and_word())
+def test_token_word_and_affine_replays_agree(case):
+    p, w, coords = case
+    x = make_element(p, coords)
+    by_token = list(x.coords)
+    for token in w.tokens:
+        apply_token(token, by_token, p)
+    image = apply_word(w, x)
+    assert image.coords == tuple(by_token)
+    assert image == apply_affine(word_action(w, p), x)
+
+
+@pytest.mark.parametrize("bad", ["A3", "B3", "C2", "D2"])
+@pytest.mark.parametrize("prefix", ["", "A1 B2^-3 C1^2 s D1 "])
+def test_apply_word_rejects_out_of_range_index(bad, prefix):
+    p = params(2, 5)
+    x = make_element(p, [1, 2, 3, 4])
+    with pytest.raises(ValueError) as expected:
+        generator_action(parse_word(bad).tokens[0], p)
+    with pytest.raises(ValueError) as err:
+        apply_word(parse_word(prefix + bad), x)
+    assert str(err.value) == str(expected.value)
+    assert str(err.value).startswith(f"{bad} out of range for genus 2 (max ")
+    assert x.coords == (1, 2, 3, 4)
+
+
+def test_apply_word_accepts_s_and_in_range_d():
+    p = params(3, 5)
+    x = make_element(p, [1, 2, 3, 4, 0, 1])
+    assert apply_word(parse_word("D1 D2"), x) == x
+    assert apply_word(parse_word("s"), x).coords == (4, 2, 2, 4, 0, 1)
+    assert apply_word(parse_word("s s"), x) == x
+
+
+def test_make_token_interns_valid_tokens():
+    assert make_token("C", 2, -3) is make_token("C", 2, -3)
+    assert make_token("C", 2, -3) == Generator("C", 2, -3)
+    assert make_token("s", None, -1) == Generator("s")
+    with pytest.raises(ValueError):
+        make_token("A", 0, 1)
+    with pytest.raises(ValueError):
+        make_token("B", 1, 0)
 
 
 def test_ab_words_fix_zero_and_have_zero_translation():

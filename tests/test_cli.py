@@ -104,6 +104,50 @@ def test_bad_thread_count_is_a_usage_error(capsys, command, value):
         f"error: argument --threads: must be a positive integer, got {value!r}")
 
 
+@pytest.mark.parametrize("argv, flag, message", [
+    (("cocycle", "--genus", "1"), "--genus", "must be an integer >= 2, got '1'"),
+    (("verify", "--suite", "cocycle", "--genus", "1"), "--genus",
+     "must be an integer >= 2, got '1'"),
+    (("cocycle", "--max-len", "0"), "--max-len", "must be a positive integer, got '0'"),
+    (("cocycle", "--pairs", "-1"), "--pairs", "must be a positive integer, got '-1'"),
+    (("verify", "--suite", "sl2", "--n", "0"), "--n",
+     "must be a positive integer, got '0'"),
+    (("verify", "--suite", "cocycle", "--samples", "0"), "--samples",
+     "must be a positive integer, got '0'"),
+    (("verify", "--suite", "theorem", "--max-states", "-5"), "--max-states",
+     "must be a positive number, got '-5'"),
+    (("verify", "--suite", "theorem", "--max-states", "nan"), "--max-states",
+     "must be a positive number, got 'nan'"),
+])
+def test_bad_numeric_argument_is_a_usage_error(capsys, argv, flag, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: {message}")
+
+
+def test_verify_fails_when_no_check_ran(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "theorem",
+                         "--max-states", "0.5")
+    assert code == 1
+    assert out.splitlines()[-1] == "0/0 checks passed"
+    assert "no check ran" in err
+
+
+def test_verify_sl2_modulus_above_cap_is_a_clean_error(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "sl2", "--n", "101")
+    assert code == 2
+    assert err == "error: sl2 n=101: n^4 = 104060401 exceeds cap 100000000\n"
+
+
+def test_verify_sl2_single_modulus_one(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "sl2", "--n", "1")
+    assert code == 0
+    assert out.splitlines() == ["ok   sl2 n=1 closure size: 1", "1/1 checks passed"]
+
+
 def test_apply_word(capsys):
     code, out, _ = run(capsys, "apply", "--g", "2", "--n", "2",
                        "--element", "0,0,0,0", "--word", "C1")

@@ -1,15 +1,19 @@
 """Tests for canonical reduction and word certificates."""
 
+import hashlib
+import importlib
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcgorbits.action import apply_word, word_action
+from mcgorbits.action import EMPTY_WORD, apply_word, word_action
 from mcgorbits.invariants import vanishing_number
-from mcgorbits.normalize import _shift_word, macro_word, normalize, same_orbit
-from mcgorbits.sl2 import _pair_bfs
+from mcgorbits.normalize import (
+    _block_step, _shift_word, macro_word, normalize, same_orbit,
+)
+from mcgorbits.sl2 import _pair_bfs, clear_alpha
 from mcgorbits.space import (
     SpaceParams, apply_affine, decode, make_element, zero_element,
 )
@@ -125,6 +129,61 @@ def test_certificates_replay_with_bounded_length(g, n, data):
     assert apply_word(cert.word, x) == form.representative
     log_n = math.ceil(math.log2(n)) if n > 1 else 0
     assert len(cert.word) <= g * (2 * log_n + 4) + g + 6
+
+
+# sha256 over "state|certificate|representative|parity class" lines for
+# 300 seeded states of each space below, then every state of (3, 4);
+# recorded from the closed-form normalizer before stage (i) was memoized
+# and replay went through one token kernel.  The words and the forms
+# must stay byte-identical.
+GOLDEN_SEEDED = ((4, 6), (5, 4), (7, 3), (16, 30), (26, 50))
+GOLDEN_DIGEST = "674526e8e0aa7be4d58e3d8a29a5d92e32b7487a59a760e1630ac12b0ba4493a"
+
+
+def _golden_states():
+    for g, n in GOLDEN_SEEDED:
+        p = SpaceParams(g, n)
+        rng = random.Random(f"golden:{g}:{n}")
+        for _ in range(300):
+            yield make_element(p, [rng.randrange(n) for _ in range(2 * g)])
+    p = SpaceParams(3, 4)
+    for index in range(p.size):
+        yield decode(index, p)
+
+
+def test_certificates_match_recorded_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for x in _golden_states():
+        form, cert = normalize(x)
+        digest.update(f"{x}|{cert.word}|{form.representative}|"
+                      f"{form.parity_class}\n".encode())
+        count += 1
+    assert count == 5 * 300 + 4 ** 6
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_block_step_matches_block_word_replay():
+    # a memoized entry equals the block word's tokens and the pair its own
+    # letter arithmetic (BlockWord.apply) sends (a, b) to
+    for n in range(2, 13):
+        for block in (1, 3):
+            for a in range(n):
+                for b in range(n):
+                    tokens, pair = _block_step(a, b, block, n)
+                    word = clear_alpha((a, b), n)
+                    assert tokens == word.on_block(block).tokens
+                    assert pair == word.apply((a, b), n)
+                    assert pair[0] == 0 or a == 0
+
+
+def test_wrong_landing_raises(monkeypatch):
+    # the package re-exports the function under the module's name
+    module = importlib.import_module("mcgorbits.normalize")
+    monkeypatch.setattr(module, "_shift_word", lambda *args: EMPTY_WORD)
+    p = params(2, 5)
+    with pytest.raises(AssertionError, match="landed on 0,0,0,3, expected"):
+        normalize(make_element(p, [0, 0, 0, 3]))
 
 
 def test_large_n_builds_no_pair_tables():

@@ -38,10 +38,17 @@ def test_generate_sl2_is_entire_group():
 
 
 def test_generate_sl2_witness_words():
-    for n in (2, 5):
-        for key, word in generate_sl2(n).items():
+    for n in range(2, 13):
+        words = generate_sl2(n)
+        for key, word in words.items():
             m = word.matrix(n)
             assert (int(m[0, 0]), int(m[0, 1]), int(m[1, 0]), int(m[1, 1])) == key
+        # breadth-first order: lengths never drop, and each word extends
+        # the witness of its parent by one letter
+        lengths = [len(word) for word in words.values()]
+        assert lengths == sorted(lengths)
+        by_codes = {word.codes for word in words.values()}
+        assert all(word.codes[:-1] in by_codes for word in words.values() if word)
 
 
 def test_order_formula_matches_brute_force():
