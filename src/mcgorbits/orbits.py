@@ -3,11 +3,15 @@
 The full state space has n^(2g) points; orbits under the twist
 generators are found by repeated breadth-first sweeps over a bit-packed
 visited set (one bit per state).  Generator application never builds
-matrices in the inner loop: each generator changes at most two beta
-digits (s: every alpha digit) of the mixed-radix state index by an
-amount that depends on a handful of digits, so it is precompiled into a
-flat lookup table of index deltas and applied to whole frontier chunks
-with numpy.
+matrices in the inner loop.  A state index is mixed-radix, so block i
+is one digit key alpha_i + n*beta_i.  Each generator moves the index by
+an amount that depends only on the keys of the blocks it touches: A_i
+and B_i on key i, C_i on keys i and i+1, s on every key.  For each chunk
+of the frontier the g block keys are computed once and shared by every
+generator, and an image is the chunk plus one gather per touched key
+from a delta table.  The tables come from the generator's affine map
+(`action.generator_action`) evaluated on the local keys, so this module
+writes out no twist formula.
 
 The search uses the positive generators only: A_i, B_i, C_i with
 exponent +1, plus s for mod_pm.  Each of them permutes the finite state
@@ -17,10 +21,13 @@ exactly the group orbit (the orbits of a finite Schreier graph are its
 strongly connected components).  That halves the work of searching
 with the signed list.
 
-Each frontier chunk is expanded by min(thread_count, #generators)
-workers, each taking a contiguous slice of the generator list and only
-reading the visited set; their batches are then committed on the
-calling thread in generator order.  Orbit representatives are the
+The calling thread takes the generators of each chunk in order, tests
+each image against the visited set once and marks the fresh states at
+once, so a state reached twice is caught by that one test.  Chunks are
+cache-sized (`chunk_size` states) and drawn from the parts of the level
+as they were found; a level is never concatenated.  With thread_count
+k > 1, k - 1 pool workers compute the images of the chunks ahead and
+never read or write the visited set.  Orbit representatives are the
 minimal state indices, a total order independent of search order, and
 the partition, the batches passed to the hook and the parent links are
 identical for every thread count.  Parent links for path certificates
@@ -31,12 +38,13 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import Generator, GeneratorWord, apply_word
+from .action import Generator, GeneratorWord, apply_word, generator_action
 from .invariants import vanishing_number
 from .space import GnElement, SpaceParams, decode, encode
 
@@ -52,7 +60,12 @@ DEFAULT_BITMAP_BUDGET = 512 * 1024 * 1024  # bytes
 PATHS_AUTO_LIMIT = 10 ** 7
 PATH_BYTES_PER_STATE = 10  # int64 parent index plus int16 generator id
 
-_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
+_ONE, _SEVEN = np.uint8(1), np.uint8(7)
+
+
+def _bit(idx: np.ndarray) -> np.ndarray:
+    """The mask of each state's bit within its byte of the visited set."""
+    return np.left_shift(_ONE, idx.astype(np.uint8) & _SEVEN)
 
 
 class BudgetExceededError(MemoryError):
@@ -90,81 +103,116 @@ def positive_generators(params: SpaceParams, selector: GeneratorSet) -> tuple:
     return tuple(gens)
 
 
-def generator_groups(count: int, thread_count: int) -> list:
-    """Contiguous [lo, hi) slices of a list of `count` generators, one per
-    worker, for min(thread_count, count) workers."""
-    workers = min(thread_count, count)
-    return [(count * k // workers, count * (k + 1) // workers)
-            for k in range(workers)]
+def _delta_terms(gen: Generator, params: SpaceParams) -> list:
+    """[(key slot, delta table)] with gen(x) = x + the sum of delta[key].
 
-
-def _unvisited(visited: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Boolean mask: which of the state indices have their bit still clear."""
-    bits = visited[idx >> 3]
-    bits &= _BITS[idx & 7]
-    return bits == 0
-
-
-def _compile_generator(gen: Generator, params: SpaceParams):
-    """Return a vectorized index map f(idx_array) -> image index array."""
+    The tables are the generator's affine map (`action.generator_action`)
+    evaluated on the local digit keys of the blocks it touches, vectorized
+    over the keys: one term on block i (key alpha_i + n*beta_i, slot i)
+    for A_i and B_i, one term on blocks i and i+1 (key_i + n^2 key_{i+1},
+    slot g + i) for C_i, and one term per block for s.  This is exact
+    only when the map moves no coordinate outside its terms and couples
+    no two terms, which is checked here.
+    """
     g, n = params.g, params.n
-    e = gen.exponent
+    action = generator_action(gen, params)
     if gen.kind in ("A", "B"):
-        pos = 2 * gen.index - 2
-        stride = n ** pos
-        keys = np.arange(n * n, dtype=np.int64)
-        a, b = keys % n, keys // n
-        if gen.kind == "A":
-            delta = (((b - e * a) % n) - b) * (stride * n)
-        else:
-            delta = (((a + e * b) % n) - a) * stride
-        return _table_apply(stride, n * n, delta.astype(np.int64))
-    if gen.kind == "C":
-        pos = 2 * gen.index - 2
-        stride = n ** pos
-        keys = np.arange(n ** 4, dtype=np.int64)
-        a1 = keys % n
-        b1 = (keys // n) % n
-        a2 = (keys // n ** 2) % n
-        b2 = (keys // n ** 3) % n
-        step = -a1 + a2 + 1
-        delta = ((((b1 + e * step) % n) - b1) * (stride * n)
-                 + (((b2 - e * step) % n) - b2) * (stride * n ** 3))
-        return _table_apply(stride, n ** 4, delta.astype(np.int64))
-    if gen.kind == "s":
-        tables = []
-        for j in range(g):
-            stride = n ** (2 * j)
-            a = np.arange(n, dtype=np.int64)
-            tables.append((stride, (((-a) % n) - a) * stride))
-
-        def apply_s(idx):
-            out = idx.copy()
-            for stride, delta in tables:
-                out += delta[(idx // stride) % n]
-            return out
-
-        return apply_s
-    raise ValueError(f"cannot compile generator {gen}")
+        terms = [(gen.index - 1, 1)]
+    elif gen.kind == "C":
+        terms = [(gen.index - 1, 2)]
+    else:
+        terms = [(j, 1) for j in range(g)]
+    moved = (action.linear - np.eye(2 * g, dtype=np.int64)) % n
+    shifted = action.translation.copy()
+    tables = []
+    for block, width in terms:
+        lo, hi = 2 * block, 2 * (block + width)
+        lin, tra = action.linear[lo:hi, lo:hi], action.translation[lo:hi]
+        keys = np.arange(n ** (hi - lo), dtype=np.int64)
+        digits = [keys // n ** k % n for k in range(hi - lo)]
+        delta = np.zeros_like(keys)
+        for r, digit in enumerate(digits):
+            image = sum(int(lin[r, c]) * digits[c] for c in range(hi - lo))
+            delta += ((image + int(tra[r])) % n - digit) * n ** (lo + r)
+        moved[lo:hi, lo:hi] = 0
+        shifted[lo:hi] = 0
+        tables.append((block if width == 1 else g + block, delta))
+    if moved.any() or shifted.any():
+        raise ValueError(f"{gen} is not local to its blocks")
+    return tables
 
 
-def _table_apply(stride: int, keysize: int, delta: np.ndarray):
-    if stride & (stride - 1) == 0 and keysize & (keysize - 1) == 0:
-        # power-of-two radix: shifts instead of division
-        shift = stride.bit_length() - 1
-        mask = keysize - 1
+def _image_kernel(gens, params: SpaceParams):
+    """images(chunk) -> (len(gens), chunk.size) array of generator images.
 
-        def apply_pow2(idx):
-            return idx + delta[(idx >> shift) & mask]
+    The g block keys (and the g - 1 keys of adjacent block pairs) of the
+    chunk are computed once and shared by every generator, so an image
+    is one gather per term plus one add.  The kernel reads only the
+    chunk and its own tables: it is safe to run on worker threads.
+    """
+    g, n = params.g, params.n
+    n2 = n * n
+    shift = n2.bit_length() - 1 if n2 & (n2 - 1) == 0 else 0
+    tables = [_delta_terms(gen, params) for gen in gens]
 
-        return apply_pow2
+    def images(chunk):
+        keys = []
+        q = chunk
+        for _ in range(g - 1):
+            if shift:  # power-of-two radix: shifts instead of division
+                keys.append(q & (n2 - 1))
+                q = q >> shift
+            else:
+                rest = q // n2
+                keys.append(q - rest * n2)
+                q = rest
+        keys.append(q)
+        keys += [keys[i] + n2 * keys[i + 1] for i in range(g - 1)]
+        out = np.empty((len(tables), chunk.size), dtype=np.int64)
+        for row, terms in zip(out, tables):
+            (slot, delta), *rest = terms
+            np.add(chunk, delta.take(keys[slot]), out=row)
+            for slot, delta in rest:
+                row += delta.take(keys[slot])
+        return out
 
-    def apply(idx):
-        key = idx // stride
-        key -= key // keysize * keysize  # key % keysize: numpy divides faster
-        return idx + delta[key]
+    return images
 
-    return apply
+
+def _chunks(parts: deque, size: int):
+    """Consecutive `size`-state chunks of the parts laid end to end,
+    consuming the parts as it goes; the level is never concatenated."""
+    held, count = [], 0
+    while parts:
+        part = parts.popleft()
+        while part.size:
+            piece = part[:size - count]
+            part = part[piece.size:]
+            held.append(piece)
+            count += piece.size
+            if count == size:
+                yield held[0] if len(held) == 1 else np.concatenate(held)
+                held, count = [], 0
+    if held:
+        yield np.concatenate(held)
+
+
+def _with_images(chunks, images, pool, ahead: int):
+    """(chunk, images(chunk)) in chunk order.  With a pool, the images of
+    up to `ahead` further chunks are computed by its workers meanwhile."""
+    if pool is None:
+        for chunk in chunks:
+            yield chunk, images(chunk)
+        return
+    pending = deque()
+    for chunk in chunks:
+        pending.append((chunk, pool.submit(images, chunk)))
+        if len(pending) > ahead:
+            chunk, future = pending.popleft()
+            yield chunk, future.result()
+    while pending:
+        chunk, future = pending.popleft()
+        yield chunk, future.result()
 
 
 @dataclass(frozen=True)
@@ -247,25 +295,28 @@ def enumerate_orbits(
     gens: GeneratorSet = MOD,
     thread_count: int = 1,
     record_paths: bool | None = None,
-    chunk_size: int = 1 << 21,
+    chunk_size: int = 1 << 15,
     batch_hook=None,
 ) -> OrbitReport:
     """Partition the whole space into orbits of the chosen generator set.
 
     The breadth-first search applies only the positive generators (see
     `positive_generators`): each permutes the finite space, so the states
-    they reach from a seed form its whole orbit under the group.  Every
-    frontier chunk is split by generator across min(thread_count,
-    #generators) workers and committed in generator order, so the result,
-    the hook calls and the parent links (positive words for `trace_path`)
-    do not depend on `thread_count`.
+    they reach from a seed form its whole orbit under the group.  Each
+    level is cut into chunks of `chunk_size` states; the images of a
+    chunk share its block digit keys, and the calling thread checks and
+    marks them generator by generator, one bitmap test per candidate.
+    With `thread_count` > 1 the extra threads only compute the images of
+    the chunks ahead, so the result, the hook calls and the parent links
+    (positive words for `trace_path`) do not depend on `thread_count`.
 
     `batch_hook(orbit_ordinal, index_array)` is invoked on every block of
     states as it is discovered (including the seed), which lets callers
     audit per-orbit invariants without storing orbit membership.  Refuses
     to run when the visited bitmap, plus the parent-link arrays when
     `record_paths` is true, would not fit the configured budget (env
-    MCGORBITS_BITMAP_BUDGET, bytes).  With `record_paths=None` the links
+    MCGORBITS_BITMAP_BUDGET, bytes); the frontier, 8 bytes per state of
+    the widest level, is not counted.  With `record_paths=None` the links
     are recorded only when the space has at most PATHS_AUTO_LIMIT states
     and they fit the budget.
     """
@@ -283,47 +334,20 @@ def enumerate_orbits(
             f"budget is {budget}; raise {BUDGET_ENV} to proceed")
     if thread_count < 1:
         raise ValueError("thread_count must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
 
     generators = positive_generators(params, gens)
-    appliers = [_compile_generator(gen, params) for gen in generators]
-    groups = generator_groups(len(appliers), thread_count)
+    images = _image_kernel(generators, params)
     visited = np.zeros(nbytes, dtype=np.uint8)
     parent = parent_gen = None
     if record_paths:
         parent = np.full(size, -1, dtype=np.int64)
         parent_gen = np.full(size, -1, dtype=np.int16)
 
-    def expand(chunk, lo, hi):
-        # reads `visited` only: no commit runs until every group is done
-        batches = []
-        for gen_id in range(lo, hi):
-            nxt = appliers[gen_id](chunk)
-            fresh = np.flatnonzero(_unvisited(visited, nxt))
-            batches.append((gen_id, nxt[fresh],
-                            chunk[fresh] if record_paths else None))
-        return batches
-
-    def commit(batches, orbit_ordinal):
-        # a generator is a bijection and the frontier holds distinct
-        # states, so each batch is duplicate-free; states shared between
-        # batches are dropped here, the earliest generator keeping them
-        parts = []
-        for gen_id, nxt, pred in batches:
-            fresh = np.flatnonzero(_unvisited(visited, nxt))
-            if fresh.size == 0:
-                continue
-            nxt = nxt[fresh]
-            np.bitwise_or.at(visited, nxt >> 3, _BITS[nxt & 7])
-            if record_paths:
-                parent[nxt] = pred[fresh]
-                parent_gen[nxt] = gen_id
-            if batch_hook is not None:
-                batch_hook(orbit_ordinal, nxt)
-            parts.append(nxt)
-        return parts
-
-    # the calling thread expands the first group, the pool the others
-    pool = ThreadPoolExecutor(len(groups) - 1) if len(groups) > 1 else None
+    # the workers only compute images; the check and the mark of every
+    # candidate happen on this thread, chunk by chunk in generator order
+    pool = ThreadPoolExecutor(thread_count - 1) if thread_count > 1 else None
     summaries = []
     scan_byte = 0  # all bytes before this are 0xFF
     try:
@@ -348,23 +372,30 @@ def enumerate_orbits(
             if batch_hook is not None:
                 batch_hook(orbit_ordinal, np.array([seed], dtype=np.int64))
             orbit_size = 1
-            frontier = np.array([seed], dtype=np.int64)
-            while frontier.size:
-                parts = []
-                for lo in range(0, frontier.size, chunk_size):
-                    chunk = frontier[lo:lo + chunk_size]
-                    futures = [pool.submit(expand, chunk, *group)
-                               for group in groups[1:]]
-                    batches = expand(chunk, *groups[0])
-                    for future in futures:
-                        batches.extend(future.result())
-                    # commits run on this thread in generator order, so the
-                    # parent links are the same for every thread count
-                    parts.extend(commit(batches, orbit_ordinal))
-                if not parts:
-                    break
-                frontier = np.concatenate(parts)
-                orbit_size += frontier.size
+            level = deque([np.array([seed], dtype=np.int64)])
+            while level:
+                parts = deque()
+                for chunk, candidates in _with_images(
+                        _chunks(level, chunk_size), images, pool, 2 * thread_count):
+                    for gen_id, nxt in enumerate(candidates):
+                        # a generator is a bijection and the level holds
+                        # distinct states, so nxt is duplicate-free; a
+                        # state an earlier generator or chunk reached is
+                        # already marked and fails this one check
+                        fresh = np.flatnonzero(
+                            visited.take(nxt >> 3) & _bit(nxt) == 0)
+                        if fresh.size == 0:
+                            continue
+                        nxt = nxt.take(fresh)
+                        np.bitwise_or.at(visited, nxt >> 3, _bit(nxt))
+                        if record_paths:
+                            parent[nxt] = chunk.take(fresh)
+                            parent_gen[nxt] = gen_id
+                        if batch_hook is not None:
+                            batch_hook(orbit_ordinal, nxt)
+                        parts.append(nxt)
+                        orbit_size += nxt.size
+                level = parts
 
             rep = decode(seed, params)
             v = vanishing_number(rep) if params.n % 2 == 0 else None

@@ -106,6 +106,9 @@ def _tokens_on_block(codes: tuple, powers: tuple | None, block: int) -> Generato
         make_token(kind, block, e) for kind, e in _signed_letters(codes, powers)))
 
 
+SOLVE_PAIR_MAX_N = 100
+
+
 @lru_cache(maxsize=512)
 def _pair_bfs(n: int, source: int):
     """Shortest-word forest over the pair space from `source` = a + n*b.
@@ -188,8 +191,16 @@ def solve_pair(pair_from, pair_to, n: int):
     """Shortest word mapping pair_from to pair_to, or None when unreachable.
 
     Reachability is decided by the search itself; the gcd-content
-    criterion is asserted by the tests, not assumed here.
+    criterion is asserted by the tests, not assumed here.  Each search
+    from a new source builds a table of 9 n^2 bytes, and up to 512 of them
+    are cached, so the modulus is capped at SOLVE_PAIR_MAX_N = 100: the
+    cache then holds at most 512 * 9 * 100^2 = 46,080,000 bytes.  A
+    modulus outside [1, SOLVE_PAIR_MAX_N] raises ValueError before any
+    table is built.
     """
+    if not 1 <= n <= SOLVE_PAIR_MAX_N:
+        raise ValueError(
+            f"modulus must be in [1, {SOLVE_PAIR_MAX_N}] for the pair search, got {n}")
     if n == 1:
         return EMPTY_BLOCK_WORD
     return _solve_pair_cached(pair_from[0] % n, pair_from[1] % n,

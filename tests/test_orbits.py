@@ -10,11 +10,11 @@ from mcgorbits.invariants import vanishing_number, vanishing_number_array
 from mcgorbits.normalize import normalize
 from mcgorbits.orbits import (
     BudgetConfigError, BudgetExceededError, MOD, MOD_PM, OrbitMismatchError,
-    PathsUnavailableError, _compile_generator, enumerate_orbits,
-    generator_groups, positive_generators, trace_path,
+    PathsUnavailableError, _image_kernel, enumerate_orbits,
+    positive_generators, trace_path,
 )
 from mcgorbits.space import (
-    SpaceParams, decode, decode_array, make_element, zero_element,
+    SpaceParams, decode, decode_array, encode, make_element, zero_element,
 )
 
 
@@ -28,6 +28,29 @@ def test_one_point_space():
     assert report.orbits[0].size == 1
 
 
+def _token_images(gens, p):
+    """Image index of every state under each token, by action.apply_token."""
+    out = np.empty((len(gens), p.size), dtype=np.int64)
+    for idx in range(p.size):
+        for row, gen in zip(out, gens):
+            coords = list(decode(idx, p).coords)
+            apply_token(gen, coords, p)
+            row[idx] = encode(make_element(p, coords))
+    return out
+
+
+def _check_kernel(gens, p):
+    """Every kernel image is a permutation and agrees with apply_token on
+    every state; returns the images."""
+    states = np.arange(p.size, dtype=np.int64)
+    images = _image_kernel(gens, p)(states)
+    assert images.shape == (len(gens), p.size)
+    for gen, image in zip(gens, images):
+        assert np.array_equal(np.sort(image), states), f"{gen} is not a bijection"
+    assert np.array_equal(images, _token_images(gens, p))
+    return images
+
+
 @pytest.mark.parametrize("selector", [MOD, MOD_PM])
 def test_positive_generators_are_bijections(selector):
     p = params(3, 3, strict=False)
@@ -36,22 +59,13 @@ def test_positive_generators_are_bijections(selector):
     assert len(twists) == 3 * p.g - 1
     assert all(gen.exponent == 1 for gen in twists)
     assert (Generator("s") in gens) == (selector == MOD_PM)
-    states = np.arange(p.size, dtype=np.int64)
-    coords = decode_array(states, p)
-    for gen in gens:
-        image = _compile_generator(gen, p)(states)
-        assert np.array_equal(np.sort(image), states), f"{gen} is not a bijection"
-        # the compiled table agrees with the token replay
-        for idx in (0, 1, 100, p.size - 1):
-            row = coords[idx].tolist()
-            apply_token(gen, row, p)
-            assert decode(int(image[idx]), p).coords == tuple(row)
+    _check_kernel(gens, p)
 
 
 def test_signed_generators_closed_under_inverses():
     # the positive list plus the inverse of each generator is the full
     # signed list (6g - 2 tokens, closed under inverses), and each inverse
-    # table undoes its positive table, so the positive search loses nothing
+    # undoes its generator, so the positive search loses nothing
     p = params(3, 2)
     gens = positive_generators(p, MOD)
     signed = set(gens) | {gen.inverse() for gen in gens}
@@ -60,23 +74,13 @@ def test_signed_generators_closed_under_inverses():
         assert gen.inverse() in signed
     assert Generator("s") in positive_generators(p, MOD_PM)
     p = params(3, 3, strict=False)  # at n = 2 every twist is an involution
-    states = np.arange(p.size, dtype=np.int64)
-    for gen in positive_generators(p, MOD_PM):
-        image = _compile_generator(gen, p)(states)
-        back = _compile_generator(gen.inverse(), p)(image)
-        assert np.array_equal(back, states), f"{gen.inverse()} does not undo {gen}"
-
-
-def test_generator_groups_cover_the_list():
-    for count in (1, 5, 6, 20):
-        for threads in (1, 2, 3, 64):
-            groups = generator_groups(count, threads)
-            assert len(groups) == min(threads, count)
-            assert groups[0][0] == 0 and groups[-1][1] == count
-            assert all(lo < hi for lo, hi in groups)
-            assert all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
-    # far more threads than the 5 positive generators at g=2: one each
-    assert generator_groups(5, 64) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    gens = positive_generators(p, MOD_PM)
+    inverses = tuple(gen.inverse() for gen in gens)
+    images = _check_kernel(gens, p)
+    undo = _check_kernel(inverses, p)
+    for gen, image, back in zip(gens, images, undo):
+        assert np.array_equal(back[image], np.arange(p.size)), \
+            f"{gen.inverse()} does not undo {gen}"
 
 
 def test_g2_n2_orbits():
@@ -124,25 +128,31 @@ def test_mod_pm_partition_coincides():
 
 
 def test_determinism_across_thread_counts():
-    for selector in (MOD, MOD_PM):
-        _check_determinism_across_thread_counts(selector)
+    # a non-power-of-two and a power-of-two radix, both generator sets,
+    # 7-state chunks and the default chunk size
+    for g, n in ((3, 3), (3, 4)):
+        for selector in (MOD, MOD_PM):
+            for chunk_size in (7, None):
+                _check_determinism_across_thread_counts(
+                    params(g, n, strict=False), selector, chunk_size)
 
 
-def _check_determinism_across_thread_counts(selector):
-    p = params(3, 3, strict=False)
+def _check_determinism_across_thread_counts(p, selector, chunk_size):
+    chunking = {} if chunk_size is None else {"chunk_size": chunk_size}
     runs = []
     for k in (1, 2, 3):
         calls = []
         report = enumerate_orbits(
-            p, selector, thread_count=k, record_paths=True, chunk_size=7,
+            p, selector, thread_count=k, record_paths=True,
             batch_hook=lambda ordinal, batch: calls.append(
-                (ordinal, batch.tolist())))
+                (ordinal, batch.tolist())), **chunking)
         runs.append((report, calls))
     base, base_calls = runs[0]
-    unchunked = []
-    enumerate_orbits(p, selector, record_paths=False,
-                     batch_hook=lambda ordinal, batch: unchunked.append(ordinal))
-    assert len(base_calls) > len(unchunked)  # frontiers span several chunks
+    if chunk_size is not None:
+        unchunked = []
+        enumerate_orbits(p, selector, record_paths=False,
+                         batch_hook=lambda ordinal, batch: unchunked.append(ordinal))
+        assert len(base_calls) > len(unchunked)  # frontiers span several chunks
     for report, calls in runs[1:]:
         assert report.orbits == base.orbits
         assert np.array_equal(report.forest.parent, base.forest.parent)
@@ -161,7 +171,7 @@ def test_more_threads_than_generators():
 
 def _reference_orbits(p, selector):
     """(representative index, size) per orbit, by union-find over every
-    signed generator replayed with action.apply_token: no compiled table."""
+    signed generator replayed with action.apply_token: no delta table."""
     gens = []
     for i in range(1, p.g + 1):
         gens += [Generator(kind, i, e) for kind in "AB" for e in (1, -1)]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from mcgorbits.sl2 import (
-    BlockWord, clear_alpha, generate_sl2, pair_content, sl2_group_order,
-    solve_pair,
+    SOLVE_PAIR_MAX_N, BlockWord, _pair_bfs, clear_alpha, generate_sl2,
+    pair_content, sl2_group_order, solve_pair,
 )
 from mcgorbits.action import parse_word
 from mcgorbits.space import SpaceParams, apply_affine, make_element
@@ -93,6 +93,15 @@ def test_solve_pair_identity_and_examples():
             assert w is not None
             assert w.apply((0, (b - 1) % n), n) == ((b - 1) % n, 0)
     assert solve_pair((1, 0), (2, 0), 4) is None
+
+
+@pytest.mark.parametrize("n", [0, -3, SOLVE_PAIR_MAX_N + 1, 1000])
+def test_solve_pair_refuses_modulus_outside_cap(n):
+    _pair_bfs.cache_clear()
+    with pytest.raises(ValueError, match="modulus must be in"):
+        solve_pair((1, 0), (0, 1), n)
+    assert _pair_bfs.cache_info().currsize == 0  # no table was built
+    assert solve_pair((1, 0), (0, 1), SOLVE_PAIR_MAX_N) is not None
 
 
 def test_solve_pair_iff_content_matches():
