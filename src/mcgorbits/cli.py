@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+
+import numpy as np
 
 from . import euler
 from .action import WordSyntaxError, apply_word, parse_word
@@ -268,17 +271,38 @@ def suite_theorem(args, chk: Checker) -> None:
             chk.check(f"theorem g={g} n={n} vanishing separates", values, [0, 1])
 
 
+# states decoded per call while a vanishing table is built
+TABLE_CHUNK = 1 << 10
+
+
+def _vanishing_table(params: SpaceParams) -> np.ndarray:
+    """The vanishing number of every state, indexed by state, as uint8.
+
+    Built TABLE_CHUNK states at a time from `vanishing_number_array`, so
+    no (size, 2g) coordinate matrix is held; the table is one byte per
+    state.
+    """
+    table = np.empty(params.size, dtype=np.uint8)
+    for start in range(0, params.size, TABLE_CHUNK):
+        stop = min(start + TABLE_CHUNK, params.size)
+        table[start:stop] = vanishing_number_array(
+            decode_array(np.arange(start, stop), params))
+    return table
+
+
 def suite_invariants(args, chk: Checker) -> None:
-    # vanishing number constant along orbits, exhaustively, incl. mod_pm
+    # vanishing number constant along orbits, exhaustively, incl. mod_pm:
+    # every state of every orbit is looked up in the space's table
     for g, n in _theorem_cases(min(args.max_states, 10 ** 5)):
         if n % 2:
             continue
         params = SpaceParams(g, n)
+        table = _vanishing_table(params)
         for selector in (MOD, MOD_PM):
             bounds = {}
 
             def hook(ordinal, batch):
-                v = vanishing_number_array(decode_array(batch, params))
+                v = table.take(batch)
                 lo, hi = int(v.min()), int(v.max())
                 if ordinal in bounds:
                     lo = min(lo, bounds[ordinal][0])
@@ -436,10 +460,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): send what is still
+        # buffered to devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,13 @@ c takes only the values -1, 0, +1, vanishes when the axes of u and v
 cross, and summed along the relator yields the Euler number 2g - 2 of
 the unit tangent bundle (after the orientation of the realization is
 normalized to make that sign positive).
+
+A `LiftedCircleMap` works out whether its matrix is projectively
+trivial, and its fixed angles, once, on its first evaluation, and keeps
+them; `lift_cocycle` evaluates each of its three maps at six angles.
+`FuchsianGroup.generator` likewise keeps each power of a generator it
+builds.  Both cache exactly the values that were recomputed before, so
+every lift value and residual is bit-identical.
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ def _mobius(m: np.ndarray, z: complex) -> complex:
 
 def _normalized(m: np.ndarray) -> np.ndarray:
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det <= 0:
-        raise ValueError(f"matrix has nonpositive determinant {det}")
+    if det <= 0:  # a product of SL(2,R) matrices, lost to rounding
+        raise IllConditionedError(f"matrix has nonpositive determinant {det}")
     return m / math.sqrt(det)
 
 
@@ -120,14 +127,28 @@ class LiftedCircleMap:
     def offset(self) -> float:
         return self.deck * PI
 
+    def _kept(self, name: str, compute):
+        """compute(matrix), worked out on first use and kept under `name`;
+        a call that raises keeps nothing, so it raises on every use."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = compute(self.matrix)
+            object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def fixed_angles(self) -> tuple:
+        """(attracting, repelling) fixed angles of the matrix, kept."""
+        return self._kept("_fixed_angles", fixed_angles)
+
     def is_trivial(self) -> bool:
-        return _is_projective_identity(self.matrix, self.tolerance)
+        return self._kept("_trivial", lambda m: _is_projective_identity(m, self.tolerance))
 
     def __call__(self, t: float) -> float:
         if self.is_trivial():
             return t + self.deck * PI
         m = self.matrix
-        plus, minus = fixed_angles(m)
+        plus, minus = self.fixed_angles
         x = (t - plus) % PI
         k = round((t - plus - x) / PI)
         raw = (circle_angle(m, t) - plus) % PI
@@ -216,14 +237,22 @@ class FuchsianGroup:
         self._inverses = {name: _normalized(np.array(
             [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]))
             for name, m in self.generators.items()}
+        self._powers = {}
 
     def generator(self, name: str, exponent: int = 1) -> np.ndarray:
+        """name^exponent, built on first use and kept (read-only)."""
+        key = (name, exponent)
+        m = self._powers.get(key)
+        if m is not None:
+            return m
         if name not in self.generators:
             raise KeyError(f"unknown generator {name!r} for genus {self.genus}")
         base = self.generators[name] if exponent > 0 else self._inverses[name]
         m = np.eye(2)
         for _ in range(abs(exponent)):
             m = _normalized(m @ base)
+        m.setflags(write=False)
+        self._powers[key] = m
         return m
 
     def evaluate(self, word) -> np.ndarray:

@@ -46,6 +46,7 @@ import numpy as np
 
 from .action import Generator, GeneratorWord, apply_word, generator_action
 from .invariants import vanishing_number
+from .normalize import Certificate
 from .space import GnElement, SpaceParams, decode, encode
 
 MOD = "mod"
@@ -59,6 +60,8 @@ BUDGET_ENV = "MCGORBITS_BITMAP_BUDGET"
 DEFAULT_BITMAP_BUDGET = 512 * 1024 * 1024  # bytes
 PATHS_AUTO_LIMIT = 10 ** 7
 PATH_BYTES_PER_STATE = 10  # int64 parent index plus int16 generator id
+TABLE_BYTES_PER_ENTRY = 8  # one int64 delta per key of a term
+TABLE_BUILD_BYTES_PER_KEY = 80  # scratch while a term is built, measured
 
 _ONE, _SEVEN = np.uint8(1), np.uint8(7)
 
@@ -103,6 +106,33 @@ def positive_generators(params: SpaceParams, selector: GeneratorSet) -> tuple:
     return tuple(gens)
 
 
+def _term_blocks(gen: Generator, g: int) -> list:
+    """[(first block, block count)] of each delta term of `gen`."""
+    if gen.kind in ("A", "B"):
+        return [(gen.index - 1, 1)]
+    if gen.kind == "C":
+        return [(gen.index - 1, 2)]
+    return [(j, 1) for j in range(g)]
+
+
+def delta_table_bytes(generators, params: SpaceParams) -> int:
+    """Peak bytes the delta tables of `generators` hold while
+    `_image_kernel` builds them: 8 bytes per entry of every table (a term
+    over w blocks has n^(2w) entries), plus TABLE_BUILD_BYTES_PER_KEY for
+    each key of the widest term, the scratch of building it.
+
+    Measured with tracemalloc, building a term takes 64 to 74 bytes of
+    scratch per key on (2,7), (2,10), (2,16), (2,20) and (3,12), so 80 is
+    charged; a few KiB of Python objects on top are not, and they
+    outweigh the tables only for n below about 5.  For C_i a term has
+    n^4 keys: (2,100) needs 8.8e9 bytes.
+    """
+    n = params.n
+    keys = [n ** (2 * width)
+            for gen in generators for _, width in _term_blocks(gen, params.g)]
+    return TABLE_BYTES_PER_ENTRY * sum(keys) + TABLE_BUILD_BYTES_PER_KEY * max(keys)
+
+
 def _delta_terms(gen: Generator, params: SpaceParams) -> list:
     """[(key slot, delta table)] with gen(x) = x + the sum of delta[key].
 
@@ -116,12 +146,7 @@ def _delta_terms(gen: Generator, params: SpaceParams) -> list:
     """
     g, n = params.g, params.n
     action = generator_action(gen, params)
-    if gen.kind in ("A", "B"):
-        terms = [(gen.index - 1, 1)]
-    elif gen.kind == "C":
-        terms = [(gen.index - 1, 2)]
-    else:
-        terms = [(j, 1) for j in range(g)]
+    terms = _term_blocks(gen, g)
     moved = (action.linear - np.eye(2 * g, dtype=np.int64)) % n
     shifted = action.translation.copy()
     tables = []
@@ -233,13 +258,6 @@ class PathForest:
 
 
 @dataclass(frozen=True)
-class PathCertificate:
-    word: GeneratorWord
-    source: GnElement
-    target: GnElement
-
-
-@dataclass(frozen=True)
 class OrbitReport:
     params: SpaceParams
     generator_set: GeneratorSet
@@ -313,8 +331,9 @@ def enumerate_orbits(
     `batch_hook(orbit_ordinal, index_array)` is invoked on every block of
     states as it is discovered (including the seed), which lets callers
     audit per-orbit invariants without storing orbit membership.  Refuses
-    to run when the visited bitmap, plus the parent-link arrays when
-    `record_paths` is true, would not fit the configured budget (env
+    to run, before allocating any of them, when the visited bitmap and
+    the delta tables (`delta_table_bytes`), plus the parent-link arrays
+    when `record_paths` is true, would not fit the configured budget (env
     MCGORBITS_BITMAP_BUDGET, bytes); the frontier, 8 bytes per state of
     the widest level, is not counted.  With `record_paths=None` the links
     are recorded only when the space has at most PATHS_AUTO_LIMIT states
@@ -322,22 +341,25 @@ def enumerate_orbits(
     """
     start = time.monotonic()
     size = params.size
+    generators = positive_generators(params, gens)
     nbytes = (size + 7) // 8
+    table_bytes = delta_table_bytes(generators, params)
     path_bytes = PATH_BYTES_PER_STATE * size
     budget = bitmap_budget()
+    fixed = nbytes + table_bytes
     if record_paths is None:
-        record_paths = size <= PATHS_AUTO_LIMIT and nbytes + path_bytes <= budget
-    if nbytes + (path_bytes if record_paths else 0) > budget:
+        record_paths = size <= PATHS_AUTO_LIMIT and fixed + path_bytes <= budget
+    if fixed + (path_bytes if record_paths else 0) > budget:
         paths = f" and path arrays need {path_bytes} bytes" if record_paths else ""
         raise BudgetExceededError(
-            f"visited bitmap needs {nbytes} bytes{paths} for {size} states, "
+            f"visited bitmap needs {nbytes} bytes, delta tables need "
+            f"{table_bytes} bytes{paths} for {size} states, "
             f"budget is {budget}; raise {BUDGET_ENV} to proceed")
     if thread_count < 1:
         raise ValueError("thread_count must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
 
-    generators = positive_generators(params, gens)
     images = _image_kernel(generators, params)
     visited = np.zeros(nbytes, dtype=np.uint8)
     parent = parent_gen = None
@@ -417,7 +439,7 @@ def enumerate_orbits(
 
 
 def trace_path(report: OrbitReport, x: GnElement,
-               representative: GnElement | None = None) -> PathCertificate:
+               representative: GnElement | None = None) -> Certificate:
     """Word mapping x's orbit representative to x, rebuilt from BFS links.
 
     When `representative` is given, raises OrbitMismatchError if x lies
@@ -444,4 +466,4 @@ def trace_path(report: OrbitReport, x: GnElement,
     word = GeneratorWord(tuple(reversed(tokens)))
     if apply_word(word, root) != x:
         raise AssertionError(f"path certificate for {x} does not replay")
-    return PathCertificate(word, root, x)
+    return Certificate(word, root, x)

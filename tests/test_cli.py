@@ -1,11 +1,19 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mcgorbits import euler
+from mcgorbits import cli, euler
 from mcgorbits.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -238,3 +246,76 @@ def test_verify_cocycle_sampling_is_capped(capsys, monkeypatch):
     assert code == 1
     assert ("FAIL cocycle sampling stopped after 100 attempts: "
             "100 rejected as ill-conditioned, 0 of 5 samples accepted") in out
+
+
+# sha256 of stdout, recorded before the lifts and the vanishing numbers
+# were cached; the genus-3 run was recorded once a product whose
+# determinant rounds to <= 0 counted as ill-conditioned (it crashed before)
+VERIFY_ALL_SHA256 = \
+    "dfd441d38da140e4ff2d53092e76f47bccee029d2a330d53f6f9926381c8b3d9"
+COCYCLE_SHA256 = {
+    2: "c757a2ef02940338f68ef249ca86f27eeee7796e4f668d18994a8af1fbf3180d",
+    3: "0d2669c5f7cad90a8e4ab560392cad494fffc57a21bdc68082baa0a1e4888773",
+}
+
+
+@pytest.mark.parametrize("seed", ["1", "91", "20250810"])
+def test_verify_all_output_is_unchanged(capsys, seed):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", seed)
+    assert code == 0
+    assert out.splitlines()[-1] == "62/62 checks passed"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_cocycle_json_is_unchanged(capsys, genus):
+    code, out, _ = run(capsys, "cocycle", "--genus", str(genus),
+                       "--pairs", "50", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COCYCLE_SHA256[genus]
+
+
+def test_verify_cocycle_rejects_products_lost_to_rounding(capsys):
+    # long genus-4 words have entries so large that a product's
+    # determinant rounds to 0: that sample is ill-conditioned, not a crash
+    code, out, _ = run(capsys, "verify", "--suite", "cocycle", "--genus", "4")
+    assert code == 0
+    assert out.splitlines()[-1] == "4/4 checks passed"
+
+
+def test_corrupted_vanishing_value_fails_the_invariants_suite(capsys, monkeypatch):
+    real = cli.vanishing_number_array
+    # one state of (g=3, n=4), inside a multi-state hook batch for both
+    # generator sets; no state of (g=3, n=2) has a coordinate 2
+    corrupted = np.array([0, 2, 0, 0, 0, 0])
+
+    def vanishing_number_array(coords):
+        values = real(coords)
+        if coords.shape[1] == corrupted.size:
+            values ^= (coords == corrupted).all(axis=1)
+        return values
+
+    monkeypatch.setattr(cli, "vanishing_number_array", vanishing_number_array)
+    code, out, _ = run(capsys, "verify", "--suite", "invariants")
+    assert code == 1
+    lines = out.splitlines()
+    for selector in ("mod", "mod_pm"):
+        assert (f"FAIL invariants g=3 n=4 {selector} vanishing constant "
+                "per orbit ") in lines
+    assert "ok   invariants g=3 n=2 mod vanishing constant per orbit" in lines
+    assert lines[-1] == f"{len(lines) - 3}/{len(lines) - 1} checks passed"
+
+
+def test_closed_pipe_is_not_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mcgorbits.cli", "verify", "--suite", "all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the reader goes away, as `| head -1` does
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert first.startswith(b"ok   theorem")
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert code == 1

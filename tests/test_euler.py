@@ -10,7 +10,7 @@ from mcgorbits.euler import (
     IllConditionedError, LiftedCircleMap, axes_cross, cocycle,
     conjugated_generator_word, fixed_angles, nu_consistency,
     parse_surface_word, relator_euler_number, sigma0_lift, standard_group,
-    _reflect,
+    _is_projective_identity, _reflect,
 )
 from mcgorbits.space import SpaceParams, make_element
 
@@ -210,6 +210,49 @@ def test_fixed_angles_reject_elliptic():
                          [math.sin(0.3), math.cos(0.3)]])
     with pytest.raises(IllConditionedError):
         fixed_angles(rotation)
+
+
+def test_lift_keeps_fresh_fixed_angles_and_triviality(g2):
+    rng = random.Random(11)
+    words = [((name, e),) for name in g2.generators for e in (1, -1)]
+    words += [rand_word(rng, 2, rng.randrange(1, 7)) for _ in range(50)]
+    assert len(words) == 58
+    for word in words:
+        m = g2.evaluate(word)
+        for tol in (1e-9, g2.tolerance):
+            lift = LiftedCircleMap(m, tolerance=tol)
+            try:
+                fresh = fixed_angles(m)
+            except IllConditionedError:
+                fresh = None
+            for _ in range(2):  # the first use fills the cache, the second reads it
+                if not lift.is_trivial():
+                    lift(0.5)
+                assert lift.is_trivial() == _is_projective_identity(m, tol)
+                if fresh is None:
+                    with pytest.raises(IllConditionedError):
+                        lift.fixed_angles
+                else:
+                    assert lift.fixed_angles == fresh
+
+
+def test_lift_of_elliptic_matrix_raises_when_called_not_built():
+    rotation = np.array([[math.cos(0.3), -math.sin(0.3)],
+                         [math.sin(0.3), math.cos(0.3)]])
+    lift = LiftedCircleMap(rotation)
+    for _ in range(2):
+        with pytest.raises(IllConditionedError, match="is not hyperbolic"):
+            lift(0.2)
+
+
+def test_generator_powers_are_kept_and_read_only(g2):
+    a = g2.generators["a1"]
+    cube = g2.generator("a1", 3)
+    assert g2.generator("a1", 3) is cube
+    assert not cube.flags.writeable
+    assert np.allclose(cube, a @ a @ a, rtol=1e-12, atol=1e-9)
+    with pytest.raises(KeyError):
+        g2.generator("a3", 1)
 
 
 def test_sigma0_rejects_unknown_generator(g2):

@@ -1,16 +1,17 @@
 """Tests for the exhaustive orbit engine."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mcgorbits.action import Generator, apply_token, apply_word
 from mcgorbits.invariants import vanishing_number, vanishing_number_array
-from mcgorbits.normalize import normalize
+from mcgorbits.normalize import Certificate, normalize
 from mcgorbits.orbits import (
     BudgetConfigError, BudgetExceededError, MOD, MOD_PM, OrbitMismatchError,
-    PathsUnavailableError, _image_kernel, enumerate_orbits,
+    PathsUnavailableError, _image_kernel, delta_table_bytes, enumerate_orbits,
     positive_generators, trace_path,
 )
 from mcgorbits.space import (
@@ -277,6 +278,15 @@ def test_trace_path_examples():
         trace_path(report, other, representative=zero)
 
 
+def test_trace_path_returns_a_replaying_certificate():
+    p = params(3, 2)
+    report = enumerate_orbits(p, record_paths=True)
+    x = make_element(p, [1, 0, 1, 1, 0, 1])
+    cert = trace_path(report, x)
+    assert isinstance(cert, Certificate)
+    assert cert.target == x and cert.replays()
+
+
 def test_trace_path_requires_recording():
     p = params(2, 2)
     report = enumerate_orbits(p, record_paths=False)
@@ -308,9 +318,10 @@ def test_budget_refusal(monkeypatch):
 
 
 def test_path_arrays_count_against_budget(monkeypatch):
-    # (2, 4): 256 states, a 32-byte bitmap and 2560 bytes of path arrays
+    # (2, 4): 256 states, a 32-byte bitmap and 2560 bytes of path arrays;
+    # the budgets add the 23040 bytes of its delta tables
     p = params(2, 4, strict=False)
-    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "1000")
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "24040")
     assert enumerate_orbits(p, record_paths=False).orbit_count == 2
     with pytest.raises(BudgetExceededError) as err:
         enumerate_orbits(p, record_paths=True)
@@ -318,8 +329,40 @@ def test_path_arrays_count_against_budget(monkeypatch):
     # left to decide, the engine skips the links it cannot afford
     report = enumerate_orbits(p)
     assert report.orbit_count == 2 and report.forest is None
-    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "2592")
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "25632")
     assert enumerate_orbits(p, record_paths=True).forest is not None
+
+
+@pytest.mark.parametrize("g,n", [(2, 10), (3, 12)])
+@pytest.mark.parametrize("selector", [MOD, MOD_PM])
+def test_delta_table_bytes_bound_the_build(g, n, selector):
+    p = params(g, n, strict=False)
+    gens = positive_generators(p, selector)
+    tracemalloc.start()
+    try:
+        kernel = _image_kernel(gens, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel is not None
+    assert peak <= delta_table_bytes(gens, p)
+
+
+def test_delta_tables_count_against_budget(monkeypatch):
+    # (2, 100): a 12.5 MB bitmap, but C_1's table alone has 1e8 entries
+    monkeypatch.delenv("MCGORBITS_BITMAP_BUDGET", raising=False)
+    p = params(2, 100, strict=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_orbits(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = delta_table_bytes(positive_generators(p, MOD), p)
+    assert table_bytes == 8 * (4 * 100 ** 2 + 100 ** 4) + 80 * 100 ** 4
+    assert f"delta tables need {table_bytes} bytes" in str(err.value)
+    assert peak < 1 << 20  # refused before anything large was allocated
 
 
 @pytest.mark.parametrize("raw", ["abc", "-1", "1.5", ""])
