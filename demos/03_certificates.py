@@ -29,7 +29,7 @@ if ok:
     print(f"transport word: {joined.word}")
 
 print()
-print("breadth-first search gives certificates too (shortest in generator steps):")
+print("breadth-first search gives certificates too (shortest words in the positive generators):")
 report = enumerate_orbits(SpaceParams(2, 2), record_paths=True)
 target = make_element(SpaceParams(2, 2), [1, 1, 0, 1])
 path = trace_path(report, target)

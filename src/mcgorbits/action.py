@@ -293,8 +293,18 @@ def simplify_word(word: GeneratorWord) -> GeneratorWord:
     word acts identically.
     """
     out: list = []
-    top = None  # out[-1], or None when out is empty
-    for token in word.tokens:
+    _push(out, word.tokens)
+    return GeneratorWord(tuple(out))
+
+
+def _push(out: list, tokens) -> None:
+    """Push tokens onto the stack `out` of `simplify_word`'s pass.
+
+    When `out` is a simplified word, `out` followed by `tokens` ends up
+    simplified, merges that cascade back into `out` included.
+    """
+    top = out[-1] if out else None
+    for token in tokens:
         kind = token.kind
         if kind == "D":
             continue
@@ -308,4 +318,3 @@ def simplify_word(word: GeneratorWord) -> GeneratorWord:
             continue
         out.append(token)
         top = token
-    return GeneratorWord(tuple(out))

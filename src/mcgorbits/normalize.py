@@ -6,8 +6,9 @@ reduction runs in three stages:
 
   (i)   per block, a Euclidean word in powers of A_i and B_i clears the
         alpha coordinate (`sl2.clear_alpha`, O(log n) tokens);
-  (ii)  one multi-twist concentrates the remaining betas into the last
-        block (the beta sum is what survives);
+  (ii)  one multi-twist C_1^(k_1) ... C_{g-1}^(k_{g-1}) concentrates the
+        remaining betas into the last block (the beta sum is what
+        survives);
   (iii) one shift of at most seven tokens through C_{g-1} and block g
         sends the last beta from b to 2k - b, with 2k = t + b mod n.
 
@@ -16,15 +17,29 @@ at most g*(2*ceil(log2 n) + 4) + g + 6 tokens.  The emitted word is the
 concatenation of all stages, applied first token first, and replaying
 it on the input must land exactly on the canonical representative.
 
-Stage (i) is memoized per block: `_block_step` keeps, under
-(a, b, block, n), the block's tokens and the pair they send (a, b) to,
-computed once by replaying those tokens through the scalar kernel of
-`action` when the entry is filled.  Every token of stages (ii) and (iii)
-is applied to the tracked coordinates, the representative is read off
-them, and the landing check runs on every state; with `verify=True` the
-whole certificate is also replayed from the input.  The word caches
-(`_block_step`, `_shift_word`, and `sl2`'s and `action`'s token caches)
-are bounded LRU caches.
+Certificates come out in the normal form of `action.simplify_word` (no
+two adjacent tokens of one twist) without a pass over the whole word.
+The Euclid words are built in normal form and tokens of different blocks
+never merge, so the stage (i) prefix is one; the tail of stages (ii)
+and (iii) is simplified once, when it is memoized; the only merges left
+happen where the two meet, and `action._push` makes them there.
+
+Two memos, both bounded LRU caches, skip repeated work:
+  - `_block_step` keeps, under (a, b, block, n), a block's stage (i)
+    tokens and the pair they send (a, b) to;
+  - `_tail` keeps, under (betas, g, n), the tail's tokens, the
+    coordinates they send (0, b_1, ..., 0, b_g) to, and the target t.
+    It holds at most 4096 entries of O(g) objects each (the key's g
+    betas, at most g + 6 tokens, 2g landing coordinates): tracemalloc
+    puts an entry at about 0.43 KB at (g, n) = (7, 30), 1.2 KB at
+    (26, 50) and 2.6 KB at (26, 1000), so at most about 11 MB there.
+Both find their landing coordinates by replaying their tokens through
+the scalar kernel of `action` when an entry is filled.  On every state,
+stage (i) must leave each alpha at 0 (the tail is keyed on the betas
+alone) and the tail must land on (0, ..., 0, t), or normalize raises
+AssertionError; with `verify=True` the whole certificate is also
+replayed from the input.  `_shift_word`, `sl2._euclid_word` and
+`action.make_token` are bounded LRU caches too.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .action import (
-    EMPTY_WORD, GeneratorWord, MultiTwist, apply_word, make_token, replay_tokens,
+    EMPTY_WORD, GeneratorWord, _push, apply_word, make_token, replay_tokens,
     simplify_word,
 )
 from .sl2 import clear_alpha
@@ -66,12 +81,6 @@ def _signed_exponent(e: int, n: int) -> int:
     return e - n if e > n // 2 else e
 
 
-def _track(tokens: list, word_tokens: tuple, coords: list, n: int, g: int):
-    """Emit tokens, applying each to the tracked coordinates."""
-    tokens += word_tokens
-    replay_tokens(word_tokens, coords, n, g)
-
-
 @lru_cache(maxsize=32768)
 def _block_step(a: int, b: int, block: int, n: int) -> tuple:
     """Stage (i) on one block: the tokens of `clear_alpha((a, b), n)` on
@@ -86,6 +95,36 @@ def _block_step(a: int, b: int, block: int, n: int) -> tuple:
     return word_tokens, (coords[-2], coords[-1])
 
 
+@lru_cache(maxsize=4096)
+def _tail(betas: tuple, g: int, n: int) -> tuple:
+    """Stages (ii) and (iii) from (0, b_1, ..., 0, b_g): (tokens, landing, t).
+
+    `tokens` is the multi-twist followed by the shift, in normal form;
+    `landing` is where they send (0, b_1, ..., 0, b_g), found by
+    replaying them through the scalar kernel when the entry is filled;
+    `t` is the last coordinate of the representative.
+    """
+    tokens = []
+    acc = 0
+    for i in range(g - 1):
+        acc = (acc + betas[i]) % n
+        k = _signed_exponent(-acc, n)
+        if k:
+            tokens.append(make_token("C", i + 1, k))
+    # the multi-twist leaves the beta sum in the last block; the shift
+    # reaches every 2k - b, that is every residue of b's parity, so the
+    # target is 0 for odd n and b's parity for even n
+    beta = (acc + betas[-1]) % n
+    target = 0 if n % 2 else beta % 2
+    if beta != target:
+        half = (target + beta) * pow(2, -1, n) if n % 2 else (target + beta) // 2
+        _push(tokens, _shift_word(half % n, beta, g, n).tokens)
+    coords = [0] * (2 * g)
+    coords[1::2] = betas
+    replay_tokens(tokens, coords, n, g)
+    return tuple(tokens), tuple(coords), target
+
+
 def normalize(x: GnElement, verify: bool = True):
     """Return (CanonicalForm, Certificate) for a state.
 
@@ -98,40 +137,33 @@ def normalize(x: GnElement, verify: bool = True):
         form = CanonicalForm(x, 0)
         return form, Certificate(EMPTY_WORD, x, x)
 
-    tokens: list = []
-    coords = list(x.coords)
-
     # stage (i): clear the alphas block by block
-    for i in range(1, g + 1):
-        a = coords[2 * i - 2]
+    tokens: list = []
+    betas = list(x.coords[1::2])
+    for i, a in enumerate(x.coords[0::2]):
         if a != 0:
-            block_tokens, pair = _block_step(a, coords[2 * i - 1], i, n)
+            block_tokens, (a, betas[i]) = _block_step(a, betas[i], i + 1, n)
+            if a != 0:
+                raise AssertionError(
+                    f"stage (i) left alpha_{i + 1} = {a} in the reduction of {x}")
             tokens += block_tokens
-            coords[2 * i - 2], coords[2 * i - 1] = pair
 
-    # stage (ii): concentrate the betas into the last block
-    exponents = []
-    acc = 0
-    for i in range(g - 1):
-        acc = (acc + coords[2 * i + 1]) % n
-        exponents.append(_signed_exponent(-acc, n))
-    _track(tokens, MultiTwist(tuple(exponents)).to_word().tokens, coords, n, g)
+    # stages (ii) and (iii); both parts are in normal form, so merges can
+    # only start where they meet
+    tail, landing, target = _tail(tuple(betas), g, n)
+    if tokens and tail and tokens[-1].kind == tail[0].kind \
+            and tokens[-1].index == tail[0].index:
+        _push(tokens, tail)
+    else:
+        tokens += tail
 
-    # stage (iii): the shift reaches every 2k - b, that is every residue
-    # of b's parity, so the target is 0 for odd n and b's parity for even n
-    beta = coords[2 * g - 1]
-    target = 0 if n % 2 else beta % 2
-    if beta != target:
-        half = (target + beta) * pow(2, -1, n) if n % 2 else (target + beta) // 2
-        _track(tokens, _shift_word(half % n, beta, g, n).tokens, coords, n, g)
-
-    rep = GnElement(params, tuple(coords))
+    rep = GnElement(params, landing)
     expected = (0,) * (2 * g - 1) + (target,)
-    if rep.coords != expected:
+    if landing != expected:
         raise AssertionError(
             f"normalization of {x} landed on {rep}, expected {expected}")
-    form = CanonicalForm(rep, target if n % 2 == 0 else 0)
-    cert = Certificate(simplify_word(GeneratorWord(tuple(tokens))), x, rep)
+    form = CanonicalForm(rep, target)
+    cert = Certificate(GeneratorWord(tuple(tokens)), x, rep)
     if verify and not cert.replays():
         raise AssertionError(f"certificate for {x} does not replay")
     return form, cert

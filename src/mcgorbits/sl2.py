@@ -88,7 +88,9 @@ class BlockWord:
 
     def on_block(self, block: int) -> GeneratorWord:
         """Translate to A/B twist tokens acting on the given 1-based block."""
-        return _tokens_on_block(self.codes, self.powers, block)
+        return GeneratorWord(tuple(
+            make_token(kind, block, e)
+            for kind, e in _signed_letters(self.codes, self.powers)))
 
     def apply(self, pair, n: int) -> tuple:
         a, b = pair[0] % n, pair[1] % n
@@ -98,12 +100,6 @@ class BlockWord:
 
 
 EMPTY_BLOCK_WORD = BlockWord(())
-
-
-@lru_cache(maxsize=65536)
-def _tokens_on_block(codes: tuple, powers: tuple | None, block: int) -> GeneratorWord:
-    return GeneratorWord(tuple(
-        make_token(kind, block, e) for kind, e in _signed_letters(codes, powers)))
 
 
 SOLVE_PAIR_MAX_N = 100
@@ -169,8 +165,12 @@ def _euclid_word(a: int, b: int) -> BlockWord:
     R^-q sends (a, b) to (a - q*b, b) and L^q sends (a, b) to (a, b - q*a),
     so each division step is one power token.  Every intermediate pair
     stays in [0, max(a, b)], so the word acts the same modulo any n
-    above both entries.  A reduction that stops at (d, 0) finishes with
-    L^-1 R^-1: (d, 0) -> (d, d) -> (0, d).
+    above both entries.  A start (d, 0) takes L^-1 R^-1:
+    (d, 0) -> (d, d) -> (0, d).  A reduction whose last step L^q reaches
+    (d, 0) ends L^(q-1) R^-1 instead: the power one short stops at
+    (d, d), and q >= 2 there because d | b with 0 < d < b.  So letters
+    alternate and every power is >= 1: the word is already in the
+    normal form of `action.simplify_word`.
     """
     codes, powers = [], []
     while a and b:
@@ -182,8 +182,13 @@ def _euclid_word(a: int, b: int) -> BlockWord:
             codes.append(_L)
         powers.append(q)
     if a:
-        codes += [_L_INV, _R_INV]
-        powers += [1, 1]
+        if codes:
+            powers[-1] -= 1
+        else:
+            codes.append(_L_INV)
+            powers.append(1)
+        codes.append(_R_INV)
+        powers.append(1)
     return BlockWord(tuple(codes), tuple(powers))
 
 

@@ -8,10 +8,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcgorbits.action import EMPTY_WORD, apply_word, word_action
+from mcgorbits.action import (
+    EMPTY_WORD, GeneratorWord, MultiTwist, apply_word, simplify_word, word_action,
+)
 from mcgorbits.invariants import vanishing_number
 from mcgorbits.normalize import (
-    _block_step, _shift_word, macro_word, normalize, same_orbit,
+    _block_step, _shift_word, _tail, macro_word, normalize, same_orbit,
 )
 from mcgorbits.sl2 import _pair_bfs, clear_alpha
 from mcgorbits.space import (
@@ -177,13 +179,83 @@ def test_block_step_matches_block_word_replay():
                     assert pair[0] == 0 or a == 0
 
 
-def test_wrong_landing_raises(monkeypatch):
+@pytest.fixture
+def fresh_tail():
+    # a tail memoized before a test would bypass its patch, and one filled
+    # under a patch must not outlive the test
+    _tail.cache_clear()
+    yield
+    _tail.cache_clear()
+
+
+def test_wrong_landing_raises(monkeypatch, fresh_tail):
     # the package re-exports the function under the module's name
     module = importlib.import_module("mcgorbits.normalize")
     monkeypatch.setattr(module, "_shift_word", lambda *args: EMPTY_WORD)
     p = params(2, 5)
     with pytest.raises(AssertionError, match="landed on 0,0,0,3, expected"):
         normalize(make_element(p, [0, 0, 0, 3]))
+
+
+def test_stray_alpha_raises(monkeypatch, fresh_tail):
+    # the tail is keyed on the betas alone, so an alpha that stage (i)
+    # leaves behind must be caught before it is reached
+    module = importlib.import_module("mcgorbits.normalize")
+    real = module._block_step
+
+    def leaky(a, b, block, n):
+        tokens, (_, beta) = real(a, b, block, n)
+        return tokens, (1, beta)
+
+    monkeypatch.setattr(module, "_block_step", leaky)
+    p = params(3, 5)
+    with pytest.raises(AssertionError, match="stage \\(i\\) left alpha_2 = 1"):
+        normalize(make_element(p, [0, 1, 2, 3, 0, 4]))
+    assert _tail.cache_info().currsize == 0
+
+
+def _reference_word(x):
+    """The three stages concatenated from public pieces, then simplified."""
+    g, n = x.params.g, x.params.n
+    words = [clear_alpha(x.block(i), n).on_block(i) for i in range(1, g + 1)]
+    coords = apply_word(GeneratorWord(sum((w.tokens for w in words), ())), x).coords
+    acc, exponents = 0, []
+    for i in range(g - 1):
+        acc = (acc + coords[2 * i + 1]) % n
+        k = (-acc) % n
+        exponents.append(k - n if k > n // 2 else k)
+    words.append(MultiTwist(tuple(exponents)).to_word())
+    word = GeneratorWord(sum((w.tokens for w in words), ()))
+    beta = apply_word(word, x).coords[-1]
+    target = 0 if n % 2 else beta % 2
+    if beta != target:
+        half = (target + beta) * pow(2, -1, n) if n % 2 else (target + beta) // 2
+        word = word.then(_shift_word(half % n, beta, g, n))
+    return simplify_word(word)
+
+
+def test_certificates_match_reference_pipeline():
+    spaces = [(2, n) for n in range(2, 10)] + [(3, n) for n in range(2, 5)]
+    for g, n in spaces:
+        p = params(g, n)
+        for index in range(p.size):
+            x = decode(index, p)
+            _, cert = normalize(x, verify=False)
+            assert cert.word == _reference_word(x), (g, n, str(x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.integers(2, 8), n=st.integers(2, 10 ** 4), data=st.data())
+def test_certificates_are_in_normal_form(g, n, data):
+    # zero-heavy states: empty blocks and vanishing partial beta sums are
+    # where the stages' words meet and merge
+    digit = st.one_of(st.just(0), st.just(0), st.integers(0, n - 1))
+    coords = data.draw(st.lists(digit, min_size=2 * g, max_size=2 * g))
+    x = make_element(params(g, n), coords)
+    form, cert = normalize(x)
+    assert simplify_word(cert.word) == cert.word
+    assert cert.replays()
+    assert apply_word(cert.word, x) == form.representative
 
 
 def test_large_n_builds_no_pair_tables():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcgorbits.sl2 import (
-    SOLVE_PAIR_MAX_N, BlockWord, _pair_bfs, clear_alpha, generate_sl2,
+    _LETTER_KIND, SOLVE_PAIR_MAX_N, BlockWord, _pair_bfs, clear_alpha, generate_sl2,
     pair_content, sl2_group_order, solve_pair,
 )
 from mcgorbits.action import parse_word
@@ -165,6 +165,22 @@ def test_power_words_match_unit_letters():
                            for _ in range(k)))
     assert np.array_equal(word.matrix(11), unit.matrix(11))
     assert word.apply((7, 3), 11) == unit.apply((7, 3), 11) == (0, 1)
-    # (7, 3) -> (1, 3) -> (1, 0) -> (1, 1) -> (0, 1)
-    assert str(word) == "R^-2 L^3 L^-1 R^-1"
-    assert str(word.on_block(2)) == "B2^-2 A2^3 A2^-1 B2^-1"
+    # (7, 3) -> (1, 3) -> (1, 1) -> (0, 1): the division step L^3 would
+    # reach (1, 0), so the word takes L^2 and ends with R^-1
+    assert str(word) == "R^-2 L^2 R^-1"
+    assert str(word.on_block(2)) == "B2^-2 A2^2 B2^-1"
+
+
+def test_clear_alpha_words_are_in_normal_form():
+    # every pair for n <= 64: positive powers, letters of the two kinds
+    # alternating, within the length bound, and alpha cleared
+    for n in range(2, 65):
+        bound = 2 * math.ceil(math.log2(n)) + 4
+        for a in range(n):
+            for b in range(n):
+                word = clear_alpha((a, b), n)
+                assert all(k >= 1 for k in word.powers), (n, a, b, str(word))
+                kinds = [_LETTER_KIND[c] for c in word.codes]
+                assert all(x != y for x, y in zip(kinds, kinds[1:])), (n, a, b, str(word))
+                assert len(word) <= bound, (n, a, b, str(word))
+                assert word.apply((a, b), n)[0] == 0, (n, a, b)
