@@ -173,38 +173,21 @@ def word_action(word: GeneratorWord, params: SpaceParams) -> AffineMap:
 
 
 def multi_twist_action(k: MultiTwist, params: SpaceParams) -> AffineMap:
-    """Closed form for C_1^(k_1) ... C_{g-1}^(k_{g-1}).
-
-    With the convention k_0 = k_g = 0:
-        beta_i -> beta_i + k_i alpha_{i+1} - (k_i + k_{i-1}) alpha_i
-                  + k_{i-1} alpha_{i-1} + k_i - k_{i-1}
-    """
-    g, n = params.g, params.n
-    ks = list(k.exponents)
-    if len(ks) != g - 1:
-        raise ValueError(f"expected {g - 1} exponents for genus {g}, got {len(ks)}")
-    ks = [0] + ks + [0]  # k_0 .. k_g
-    lin = np.eye(2 * g, dtype=np.int64)
-    tra = np.zeros(2 * g, dtype=np.int64)
-    for i in range(1, g + 1):
-        b = 2 * i - 1
-        lin[b, 2 * i - 2] += -(ks[i] + ks[i - 1])
-        if i < g:
-            lin[b, 2 * i] += ks[i]
-        if i > 1:
-            lin[b, 2 * i - 4] += ks[i - 1]
-        tra[b] = ks[i] - ks[i - 1]
-    return AffineMap(n, lin, tra)
+    """Affine map of C_1^(k_1) ... C_{g-1}^(k_{g-1}), composed from its word."""
+    g, count = params.g, len(k.exponents)
+    if count != g - 1:
+        raise ValueError(f"expected {g - 1} exponents for genus {g}, got {count}")
+    return word_action(k.to_word(), params)
 
 
 def replay_tokens(tokens, coords: list, n: int, g: int) -> None:
     """Apply tokens to a coordinate list in place, first token first.
 
     This is the only place the A/B/C/s/D formulas are written as scalar
-    code; `apply_token`, `apply_word` and the normalizer's tracking all
-    run through it.  The index check is fused in: a token whose index does
-    not exist in genus g raises ValueError before it is applied (the
-    tokens before it stay applied).
+    code; `apply_word`, `sl2.BlockWord.apply` and the normalizer's
+    replays all run through it.  The index check is fused in: a token
+    whose index does not exist in genus g raises ValueError before it is
+    applied (the tokens before it stay applied).
     """
     for token in tokens:
         kind, i, k = token.kind, token.index, token.exponent
@@ -227,14 +210,6 @@ def replay_tokens(tokens, coords: list, n: int, g: int) -> None:
             coords[0::2] = [-c % n for c in coords[0::2]]
         elif i >= g:  # D acts as the identity
             raise _index_error(kind, i, g)
-
-
-def apply_token(token: Generator, coords: list, params: SpaceParams) -> None:
-    """Apply one token to a coordinate list in place.
-
-    Raises ValueError when the token's index does not exist in the genus.
-    """
-    replay_tokens((token,), coords, params.n, params.g)
 
 
 def apply_word(word: GeneratorWord, x: GnElement) -> GnElement:

@@ -1,0 +1,85 @@
+"""The checks shared by `mcgorbits verify` and the acceptance tests.
+
+Each function runs one check and returns what it found; the CLI prints
+the facts as ok/FAIL lines and the acceptance tests assert them, so
+both run the same code.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import euler
+from .action import apply_word
+from .invariants import vanishing_number_array
+from .normalize import macro_word
+from .orbits import enumerate_orbits
+from .space import SpaceParams, decode_array, make_element
+
+# states decoded per call while a vanishing table is built
+TABLE_CHUNK = 1 << 10
+
+
+def theorem_cases(max_states: float):
+    """(g, n) with g = 2..7, n | 2g-2 and at most max_states states."""
+    for g in range(2, 8):
+        euler_class = 2 * g - 2
+        for n in range(1, euler_class + 1):
+            if euler_class % n == 0 and n ** (2 * g) <= max_states:
+                yield g, n
+
+
+def vanishing_table(params: SpaceParams) -> np.ndarray:
+    """The vanishing number of every state, indexed by state, as uint8.
+
+    Built TABLE_CHUNK states at a time from `vanishing_number_array`, so
+    no (size, 2g) coordinate matrix is held; the table is one byte per
+    state.
+    """
+    table = np.empty(params.size, dtype=np.uint8)
+    for start in range(0, params.size, TABLE_CHUNK):
+        stop = min(start + TABLE_CHUNK, params.size)
+        table[start:stop] = vanishing_number_array(
+            decode_array(np.arange(start, stop), params))
+    return table
+
+
+def vanishing_bounds(params: SpaceParams, selector, values, threads: int) -> dict:
+    """{orbit ordinal: (lo, hi)} of the vanishing numbers on each orbit.
+
+    Runs the census with a batch hook; `values(batch)` gives the
+    vanishing numbers of a batch of state indices.  Every state reaches
+    the hook, so there is one entry per orbit, and lo == hi exactly when
+    the vanishing number is constant on that orbit.
+    """
+    bounds = {}
+
+    def hook(ordinal, batch):
+        v = values(batch)
+        lo, hi = int(v.min()), int(v.max())
+        if ordinal in bounds:
+            lo = min(lo, bounds[ordinal][0])
+            hi = max(hi, bounds[ordinal][1])
+        bounds[ordinal] = (lo, hi)
+
+    enumerate_orbits(params, selector, thread_count=threads,
+                     record_paths=False, batch_hook=hook)
+    return bounds
+
+
+def macro_exact(g: int, n: int) -> bool:
+    """Does the +2 macro send (0, ..., 0, beta) to (0, ..., 0, beta + 2)
+    for every beta mod n?"""
+    params = SpaceParams(g, n, strict_euler=False)
+    zeros = [0] * (2 * g - 1)
+    return all(
+        apply_word(macro_word(beta, params), make_element(params, zeros + [beta])).coords
+        == tuple(zeros + [(beta + 2) % n]) for beta in range(n))
+
+
+def aprime_cocycle(group: euler.FuchsianGroup) -> int:
+    """c(a1, (a'2)^-1), with a'2 = b2 a2 b2^-1 (1 in the paper)."""
+    aprime = euler.conjugated_generator_word(2)
+    inverse = tuple((name, -e) for name, e in reversed(aprime))
+    return euler.cocycle(group, "a1", inverse).value
+

@@ -3,7 +3,8 @@
 Every printed certificate is replay-verified first.  Runs outside the
 n | 2g-2 regime are permitted only with --allow-invalid-euler and are
 watermarked in the output.  Verification suites exit nonzero on any
-failed check and print one line per check.
+failed check and print one line per check; the checks themselves live
+in `checks`, which the acceptance tests run too.
 """
 
 from __future__ import annotations
@@ -14,24 +15,18 @@ import os
 import random
 import sys
 
-import numpy as np
-
-from . import euler
+from . import checks, euler
 from .action import WordSyntaxError, apply_word, parse_word
-from .invariants import (
-    orbit_count_expected, vanishing_number, vanishing_number_array,
-)
-from .normalize import macro_word, normalize
+from .invariants import orbit_count_expected, vanishing_number
+from .normalize import normalize
 from .orbits import (
     BudgetConfigError, BudgetExceededError, GENERATOR_SETS, MOD, MOD_PM,
     enumerate_orbits,
 )
 from .sl2 import generate_sl2, sl2_group_order
-from .space import SpaceParams, decode_array, make_element, parse_element
+from .space import SpaceParams, parse_element
 
 DEFAULT_SEED = 20250810
-# a sampling loop draws at most this many pairs per sample it must accept
-MAX_DRAWS_PER_SAMPLE = 20
 
 
 class CliError(Exception):
@@ -84,20 +79,6 @@ def _element(args, params: SpaceParams):
         raise CliError(str(exc)) from None
 
 
-def _enumerate(params: SpaceParams, gens, **kwargs):
-    """enumerate_orbits, with budget refusals and a malformed budget as CliError."""
-    try:
-        return enumerate_orbits(params, gens, **kwargs)
-    except (BudgetExceededError, BudgetConfigError) as exc:
-        raise CliError(str(exc)) from None
-
-
-def _sampling_cap_message(draws: int, accepted: int, wanted: int) -> str:
-    return (f"stopped after {draws} attempts: "
-            f"{draws - accepted} rejected as ill-conditioned, "
-            f"{accepted} of {wanted} samples accepted")
-
-
 def _regime(params: SpaceParams) -> str:
     if (2 * params.g - 2) % params.n == 0:
         return "n divides 2g-2"
@@ -136,8 +117,8 @@ def cmd_classify(args) -> int:
 
 def cmd_orbits(args) -> int:
     params = _space(args)
-    report = _enumerate(params, args.gens, thread_count=args.threads,
-                        record_paths=False)
+    report = enumerate_orbits(params, args.gens, thread_count=args.threads,
+                              record_paths=False)
     data = report.to_dict()
     data["regime"] = _regime(params)
     if data["regime"] == "n divides 2g-2":
@@ -195,33 +176,20 @@ def cmd_apply(args) -> int:
     return 0
 
 
+def _surface_word(word) -> str:
+    return " ".join(f"{n}^{e}" if e != 1 else n for n, e in word)
+
+
 def cmd_cocycle(args) -> int:
     group = euler.standard_group(args.genus)
-    rng = random.Random(args.seed)
-    names = [f"{letter}{i}" for letter in "ab" for i in range(1, args.genus + 1)]
-
-    def rand_word():
-        length = rng.randrange(1, args.max_len + 1)
-        return tuple((rng.choice(names), rng.choice([-1, 1])) for _ in range(length))
-
-    samples = []
-    draws = 0
-    while len(samples) < args.pairs:
-        if draws == MAX_DRAWS_PER_SAMPLE * args.pairs:
-            raise CliError("cocycle sampling "
-                           + _sampling_cap_message(draws, len(samples), args.pairs))
-        draws += 1
-        w1, w2 = rand_word(), rand_word()
-        try:
-            value = euler.cocycle(group, w1, w2)
-        except euler.IllConditionedError:
-            continue
-        samples.append({
-            "w1": " ".join(f"{n}^{e}" if e != 1 else n for n, e in w1),
-            "w2": " ".join(f"{n}^{e}" if e != 1 else n for n, e in w2),
-            "c": value.value,
-            "residual": value.residual,
-        })
+    pairs = euler.sample_cocycles(group, random.Random(args.seed), args.pairs,
+                                  args.max_len)
+    try:
+        samples = [{"w1": _surface_word(w1), "w2": _surface_word(w2),
+                    "c": value.value, "residual": value.residual}
+                   for w1, w2, value in pairs]
+    except euler.SamplingCapError as exc:
+        raise CliError(f"cocycle sampling {exc}") from None
     print(json.dumps({"genus": args.genus, "seed": args.seed,
                       "samples": samples}, indent=2))
     return 0
@@ -251,19 +219,11 @@ class Checker:
             print(f"FAIL {name} {detail}")
 
 
-def _theorem_cases(max_states: float, max_genus: int = 7):
-    for g in range(2, max_genus + 1):
-        euler_class = 2 * g - 2
-        for n in range(1, euler_class + 1):
-            if euler_class % n == 0 and n ** (2 * g) <= max_states:
-                yield g, n
-
-
 def suite_theorem(args, chk: Checker) -> None:
-    for g, n in _theorem_cases(args.max_states):
+    for g, n in checks.theorem_cases(args.max_states):
         params = SpaceParams(g, n)
-        report = _enumerate(params, MOD, thread_count=args.threads,
-                            record_paths=False)
+        report = enumerate_orbits(params, MOD, thread_count=args.threads,
+                                  record_paths=False)
         chk.check(f"theorem g={g} n={n} orbit_count", report.orbit_count,
                   orbit_count_expected(params))
         if n % 2 == 0:
@@ -271,59 +231,22 @@ def suite_theorem(args, chk: Checker) -> None:
             chk.check(f"theorem g={g} n={n} vanishing separates", values, [0, 1])
 
 
-# states decoded per call while a vanishing table is built
-TABLE_CHUNK = 1 << 10
-
-
-def _vanishing_table(params: SpaceParams) -> np.ndarray:
-    """The vanishing number of every state, indexed by state, as uint8.
-
-    Built TABLE_CHUNK states at a time from `vanishing_number_array`, so
-    no (size, 2g) coordinate matrix is held; the table is one byte per
-    state.
-    """
-    table = np.empty(params.size, dtype=np.uint8)
-    for start in range(0, params.size, TABLE_CHUNK):
-        stop = min(start + TABLE_CHUNK, params.size)
-        table[start:stop] = vanishing_number_array(
-            decode_array(np.arange(start, stop), params))
-    return table
-
-
 def suite_invariants(args, chk: Checker) -> None:
     # vanishing number constant along orbits, exhaustively, incl. mod_pm:
     # every state of every orbit is looked up in the space's table
-    for g, n in _theorem_cases(min(args.max_states, 10 ** 5)):
+    for g, n in checks.theorem_cases(min(args.max_states, 10 ** 5)):
         if n % 2:
             continue
         params = SpaceParams(g, n)
-        table = _vanishing_table(params)
+        table = checks.vanishing_table(params)
         for selector in (MOD, MOD_PM):
-            bounds = {}
-
-            def hook(ordinal, batch):
-                v = table.take(batch)
-                lo, hi = int(v.min()), int(v.max())
-                if ordinal in bounds:
-                    lo = min(lo, bounds[ordinal][0])
-                    hi = max(hi, bounds[ordinal][1])
-                bounds[ordinal] = (lo, hi)
-
-            _enumerate(params, selector, thread_count=args.threads,
-                       record_paths=False, batch_hook=hook)
-            constant = all(lo == hi for lo, hi in bounds.values())
+            bounds = checks.vanishing_bounds(params, selector, table.take,
+                                             args.threads)
             chk.check_true(
                 f"invariants g={g} n={n} {selector} vanishing constant per orbit",
-                constant)
-    # the +2 macro, exhaustively over beta
+                all(lo == hi for lo, hi in bounds.values()))
     for n in range(1, 13):
-        params = SpaceParams(2, n, strict_euler=False)
-        good = True
-        for beta in range(n):
-            x = make_element(params, [0, 0, 0, beta])
-            y = apply_word(macro_word(beta, params), x)
-            good &= y.coords == (0, 0, 0, (beta + 2) % n)
-        chk.check_true(f"invariants macro beta+2 n={n}", good)
+        chk.check_true(f"invariants macro beta+2 n={n}", checks.macro_exact(2, n))
 
 
 def suite_sl2(args, chk: Checker) -> None:
@@ -340,38 +263,20 @@ def suite_cocycle(args, chk: Checker) -> None:
     group = euler.standard_group(args.genus)
     chk.check(f"cocycle genus={args.genus} relator euler number",
               euler.relator_euler_number(group), 2 * args.genus - 2)
-    aprime = euler.conjugated_generator_word(2)
-    inv = tuple((n, -e) for (n, e) in reversed(aprime))
-    value = euler.cocycle(group, "a1", inv)
-    chk.check("cocycle c(a1, (a'2)^-1)", value.value, 1)
-    rng = random.Random(args.seed)
-    names = [f"{letter}{i}" for letter in "ab" for i in range(1, args.genus + 1)]
-    bad = 0
-    crossing_bad = 0
-    done = 0
-    draws = 0
-    while done < args.samples:
-        if draws == MAX_DRAWS_PER_SAMPLE * args.samples:
-            chk.check_true("cocycle sampling", False,
-                           _sampling_cap_message(draws, done, args.samples))
-            break
-        draws += 1
-        w1 = tuple((rng.choice(names), rng.choice([-1, 1]))
-                   for _ in range(rng.randrange(1, 7)))
-        w2 = tuple((rng.choice(names), rng.choice([-1, 1]))
-                   for _ in range(rng.randrange(1, 7)))
-        try:
-            cv = euler.cocycle(group, w1, w2)
-        except euler.IllConditionedError:
-            continue
-        done += 1
-        if cv.value not in (-1, 0, 1) or cv.residual >= 1e-6:
-            bad += 1
-        try:
-            if euler.axes_cross(group, w1, w2) and cv.value != 0:
-                crossing_bad += 1
-        except euler.IllConditionedError:
-            pass
+    chk.check("cocycle c(a1, (a'2)^-1)", checks.aprime_cocycle(group), 1)
+    bad = crossing_bad = 0
+    pairs = euler.sample_cocycles(group, random.Random(args.seed), args.samples, 6)
+    try:
+        for w1, w2, cv in pairs:
+            if cv.value not in (-1, 0, 1) or cv.residual >= 1e-6:
+                bad += 1
+            try:
+                if euler.axes_cross(group, w1, w2) and cv.value != 0:
+                    crossing_bad += 1
+            except euler.IllConditionedError:
+                pass
+    except euler.SamplingCapError as exc:
+        chk.check_true("cocycle sampling", False, str(exc))
     chk.check(f"cocycle {args.samples} samples out of range", bad, 0)
     chk.check("cocycle crossing-axes violations", crossing_bad, 0)
 
@@ -463,7 +368,8 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return status
-    except CliError as exc:
+    except (CliError, BudgetExceededError, BudgetConfigError,
+            euler.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

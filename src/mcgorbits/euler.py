@@ -46,6 +46,14 @@ class IllConditionedError(ValueError):
     """Lift or cocycle evaluation too close to a degenerate configuration."""
 
 
+class SamplingCapError(RuntimeError):
+    """A sampling loop stopped at its draw cap before it had its samples."""
+
+
+# a sampling loop draws at most this many pairs per sample it must accept
+MAX_DRAWS_PER_SAMPLE = 20
+
+
 # --- plane hyperbolic geometry helpers (upper half-plane, SL(2,R)) ----------
 
 def _mobius(m: np.ndarray, z: complex) -> complex:
@@ -122,10 +130,6 @@ class LiftedCircleMap:
     matrix: np.ndarray
     deck: int = 0
     tolerance: float = 1e-9
-
-    @property
-    def offset(self) -> float:
-        return self.deck * PI
 
     def _kept(self, name: str, compute):
         """compute(matrix), worked out on first use and kept under `name`;
@@ -303,6 +307,37 @@ def cocycle(group: FuchsianGroup, w1, w2) -> CocycleValue:
     return CocycleValue(value, residual)
 
 
+def sample_cocycles(group: FuchsianGroup, rng, count: int, max_len: int):
+    """Yield (w1, w2, CocycleValue) for `count` random pairs of words.
+
+    Each word has 1..max_len letters, drawn from a1..ag, b1..bg with a
+    random sign; w1 is drawn before w2, so a seeded `rng` gives the same
+    pairs on every run.  Ill-conditioned pairs are skipped; after
+    MAX_DRAWS_PER_SAMPLE * count draws SamplingCapError is raised.
+    """
+    names = [f"{letter}{i}" for letter in "ab" for i in range(1, group.genus + 1)]
+
+    def word():
+        return tuple((rng.choice(names), rng.choice([-1, 1]))
+                     for _ in range(rng.randrange(1, max_len + 1)))
+
+    accepted = draws = 0
+    while accepted < count:
+        if draws == MAX_DRAWS_PER_SAMPLE * count:
+            raise SamplingCapError(
+                f"stopped after {draws} attempts: "
+                f"{draws - accepted} rejected as ill-conditioned, "
+                f"{accepted} of {count} samples accepted")
+        draws += 1
+        w1, w2 = word(), word()
+        try:
+            value = cocycle(group, w1, w2)
+        except IllConditionedError:
+            continue
+        accepted += 1
+        yield w1, w2, value
+
+
 def axes_cross(group: FuchsianGroup, w1, w2) -> bool:
     """Do the axes of the two (hyperbolic) words cross transversely?"""
     p1, q1 = fixed_angles(group.evaluate(w1))
@@ -316,18 +351,21 @@ def axes_cross(group: FuchsianGroup, w1, w2) -> bool:
     return (a < span) != (b < span)
 
 
-def _cocycle_sum_along(group: FuchsianGroup, letters) -> int:
-    """Sum of c(prefix, next) telescoped along a word multiplying to 1."""
-    total = 0
+def _relator_cocycles(group: FuchsianGroup) -> list:
+    """c(prefix, next letter) for each relator letter after the first.
+
+    Raises ConstructionError when the relator does not multiply to 1.
+    """
+    letters = group.relator_letters()
     prefix = group.evaluate(letters[:1])
+    values = []
     for name, exp in letters[1:]:
         step = group.generator(name, exp)
-        value, _ = lift_cocycle(prefix, step, group.tolerance)
-        total += value
+        values.append(lift_cocycle(prefix, step, group.tolerance)[0])
         prefix = _normalized(prefix @ step)
     if not _is_projective_identity(prefix, group.tolerance):
         raise ConstructionError("relator does not multiply to the identity")
-    return total
+    return values
 
 
 def relator_euler_number(group: FuchsianGroup) -> int:
@@ -338,7 +376,7 @@ def relator_euler_number(group: FuchsianGroup) -> int:
     generators extends consistently mod n iff n divides it.  With the
     normalized orientation it equals +(2g - 2).
     """
-    return _cocycle_sum_along(group, group.relator_letters())
+    return sum(_relator_cocycles(group))
 
 
 def nu_consistency(group: FuchsianGroup, x, params=None) -> dict:
@@ -357,19 +395,13 @@ def nu_consistency(group: FuchsianGroup, x, params=None) -> dict:
         values[f"a{i}"] = x.coords[2 * i - 2]
         values[f"b{i}"] = x.coords[2 * i - 1]
     letters = group.relator_letters()
-    name0, exp0 = letters[0]
-    acc = exp0 * values[name0]
-    prefix = group.generator(name0, exp0)
-    total_c = 0
-    for name, exp in letters[1:]:
-        step = group.generator(name, exp)
-        c, _ = lift_cocycle(prefix, step, group.tolerance)
+    cocycles = _relator_cocycles(group)
+    acc = letters[0][1] * values[letters[0][0]]
+    for (name, exp), c in zip(letters[1:], cocycles):
         acc = (acc + exp * values[name] - c) % n
-        total_c += c
-        prefix = _normalized(prefix @ step)
     return {
         "relator_cochain_value": acc % n,
-        "cocycle_sum": total_c,
+        "cocycle_sum": sum(cocycles),
         "passes": acc % n == 0,
     }
 
@@ -412,26 +444,32 @@ def _reflect(group: FuchsianGroup) -> FuchsianGroup:
     return FuchsianGroup(group.genus, flipped, group.tolerance)
 
 
-def standard_group(genus: int, tolerance: float = 1e-6,
-                   word_check_length: int = 3) -> FuchsianGroup:
+def standard_group(genus: int) -> FuchsianGroup:
     """Regular-4g-gon realization, orientation-normalized.
 
-    Verifies the relator within `tolerance`, checks that all short
-    reduced words are hyperbolic, and flips the orientation if needed so
-    that the relator Euler number is +(2g - 2).
+    Verifies the relator within the group's tolerance, checks that all
+    reduced words of up to 3 letters are hyperbolic, and flips the
+    orientation if needed so that the relator Euler number is +(2g - 2).
+    Raises ConstructionError when a check fails or a relator prefix is
+    too close to parabolic to lift (genus 12, most genera from 15 on).
     """
     if genus < 2:
         raise ValueError(f"genus must be >= 2, got {genus}")
-    group = FuchsianGroup(genus, _polygon_generators(genus), tolerance)
+    group = FuchsianGroup(genus, _polygon_generators(genus))
     residual = group.relator_residual()
-    if residual > tolerance:
+    if residual > group.tolerance:
         raise ConstructionError(
-            f"relator residual {residual:.3g} exceeds tolerance {tolerance:.3g}")
-    _check_short_words_hyperbolic(group, word_check_length)
-    e = relator_euler_number(group)
-    if e == -(2 * genus - 2):
-        group = _reflect(group)
+            f"relator residual {residual:.3g} exceeds tolerance {group.tolerance:.3g}")
+    _check_short_words_hyperbolic(group, 3)
+    try:
         e = relator_euler_number(group)
+        if e == -(2 * genus - 2):
+            group = _reflect(group)
+            e = relator_euler_number(group)
+    except IllConditionedError as exc:
+        raise ConstructionError(
+            f"genus {genus} cannot be realized: the relator Euler number "
+            f"of its 4g-gon realization is ill-conditioned ({exc})") from None
     if e != 2 * genus - 2:
         raise ConstructionError(
             f"relator Euler number {e}, expected +-{2 * genus - 2}")

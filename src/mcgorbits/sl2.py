@@ -5,9 +5,11 @@ The block twists act on one (alpha_i, beta_i) pair through the matrices
     L = [[1, 0], [-1, 1]]   (the A twist)
     R = [[1, 1], [0, 1]]    (the B twist)
 
-which generate all of SL(2, Z/nZ).  A `BlockWord` is a word in powers of
-these letters; it replays on a pair and translates to A_i/B_i twist
-tokens on any block.
+which generate all of SL(2, Z/nZ).  No twist formula is written here:
+the letter matrices are read off the block slice of
+`action.generator_action`, and a `BlockWord` (a word in powers of these
+letters) replays on a pair through `action.replay_tokens`, after it is
+translated to A_i/B_i twist tokens.
 
 The normalizer's block moves are built in closed form: `clear_alpha`
 runs the Euclidean algorithm on the integer representatives of (a, b),
@@ -27,7 +29,8 @@ from math import gcd
 
 import numpy as np
 
-from .action import GeneratorWord, make_token
+from .action import GeneratorWord, generator_action, make_token, replay_tokens
+from .space import SpaceParams
 
 # letter codes L, L^-1, R, R^-1 = 0..3, in the fixed edge order used by
 # all BFS tables
@@ -36,23 +39,24 @@ _LETTER_EXP = (1, -1, 1, -1)
 _L, _L_INV, _R_INV = 0, 1, 3
 
 
-def _kind_matrix(kind: str, e: int, n: int) -> np.ndarray:
-    if kind == "A":
-        return np.array([[1, 0], [-e, 1]], dtype=np.int64) % n
-    return np.array([[1, e], [0, 1]], dtype=np.int64) % n
+@lru_cache(maxsize=128)
+def _letter_matrices(n: int) -> tuple:
+    """(m00, m01, m10, m11) mod n of each letter, in letter-code order.
+
+    Read from the block-1 slice of the A_1, A_1^-1, B_1 and B_1^-1
+    actions; the pair search and the group closure step with them.  An entry is four
+    4-tuples of ints, under 1 KB, so the cache stays under 128 KB.
+    """
+    params = SpaceParams(2, n, strict_euler=False)
+    return tuple(
+        tuple(int(v) for v in
+              generator_action(make_token(kind, 1, e), params).linear[:2, :2].ravel())
+        for kind, e in zip(_LETTER_KIND, _LETTER_EXP))
 
 
-def letter_matrix(code: int, n: int) -> np.ndarray:
-    return _kind_matrix(_LETTER_KIND[code], _LETTER_EXP[code], n)
-
-
-def _letter_on_pair(kind: str, e: int, a: int, b: int, n: int) -> tuple:
-    """One letter power on a pair: A^e sends (a, b) to (a, b - e*a), B^e to
-    (a + e*b, b).  Word replay, the pair search and the group closure all
-    step through it."""
-    if kind == "A":
-        return a, (b - e * a) % n
-    return (a + e * b) % n, b
+def _on_pair(m: tuple, a: int, b: int, n: int) -> tuple:
+    """The matrix m = (m00, m01, m10, m11) on the column (a, b), mod n."""
+    return (m[0] * a + m[1] * b) % n, (m[2] * a + m[3] * b) % n
 
 
 def _signed_letters(codes: tuple, powers: tuple | None) -> list:
@@ -80,12 +84,6 @@ class BlockWord:
         return " ".join(names[kind] if e == 1 else f"{names[kind]}^{e}"
                         for kind, e in _signed_letters(self.codes, self.powers))
 
-    def matrix(self, n: int) -> np.ndarray:
-        m = np.eye(2, dtype=np.int64)
-        for kind, e in _signed_letters(self.codes, self.powers):
-            m = (_kind_matrix(kind, e, n) @ m) % n
-        return m
-
     def on_block(self, block: int) -> GeneratorWord:
         """Translate to A/B twist tokens acting on the given 1-based block."""
         return GeneratorWord(tuple(
@@ -93,10 +91,9 @@ class BlockWord:
             for kind, e in _signed_letters(self.codes, self.powers)))
 
     def apply(self, pair, n: int) -> tuple:
-        a, b = pair[0] % n, pair[1] % n
-        for kind, e in _signed_letters(self.codes, self.powers):
-            a, b = _letter_on_pair(kind, e, a, b, n)
-        return a, b
+        coords = [pair[0] % n, pair[1] % n]
+        replay_tokens(self.on_block(1).tokens, coords, n, 1)
+        return tuple(coords)
 
 
 EMPTY_BLOCK_WORD = BlockWord(())
@@ -117,12 +114,13 @@ def _pair_bfs(n: int, source: int):
     letter = np.full(size, -1, dtype=np.int8)
     dist[source] = 0
     queue = deque([source])
+    letters = _letter_matrices(n)
     while queue:
         p = queue.popleft()
         a, b = p % n, p // n
         d = dist[p] + 1
-        for code in range(4):
-            a2, b2 = _letter_on_pair(_LETTER_KIND[code], _LETTER_EXP[code], a, b, n)
+        for code, m in enumerate(letters):
+            a2, b2 = _on_pair(m, a, b, n)
             q = a2 + n * b2
             if dist[q] < 0:
                 dist[q] = d
@@ -236,15 +234,15 @@ def generate_sl2(n: int, cap: int = 10 ** 8) -> dict:
     identity = (1 % n, 0, 0, 1 % n)
     words = {identity: EMPTY_BLOCK_WORD}
     frontier = [identity]
+    letters = _letter_matrices(n)
     while frontier:
         new_frontier = []
         for cur in frontier:
             m00, m01, m10, m11 = cur
-            for code in range(4):
+            for code, m in enumerate(letters):
                 # a letter times a matrix acts on each column as on a pair
-                kind, e = _LETTER_KIND[code], _LETTER_EXP[code]
-                c00, c10 = _letter_on_pair(kind, e, m00, m10, n)
-                c01, c11 = _letter_on_pair(kind, e, m01, m11, n)
+                c00, c10 = _on_pair(m, m00, m10, n)
+                c01, c11 = _on_pair(m, m01, m11, n)
                 key = (c00, c01, c10, c11)
                 if key not in words:
                     words[key] = BlockWord(words[cur].codes + (code,))

@@ -227,15 +227,6 @@ def decode_array(indices, params: SpaceParams) -> np.ndarray:
     return out
 
 
-def encode_array(coords, params: SpaceParams) -> np.ndarray:
-    """Vectorized encode: (N, 2g) coordinate matrix -> (N,) index array."""
-    mat = np.asarray(coords, dtype=np.int64) % params.n
-    idx = np.zeros(mat.shape[0], dtype=np.int64)
-    for j in reversed(range(params.dim)):
-        idx = idx * params.n + mat[:, j]
-    return idx
-
-
 def symplectic_form(params: SpaceParams) -> np.ndarray:
     """Standard symplectic matrix J in the (alpha_1, beta_1, ...) ordering."""
     J = np.zeros((params.dim, params.dim), dtype=np.int64)

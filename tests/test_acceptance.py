@@ -16,17 +16,16 @@ import pytest
 from mcgorbits.action import (
     Generator, MultiTwist, apply_word, generator_action, multi_twist_action,
 )
+from mcgorbits.checks import aprime_cocycle, macro_exact, vanishing_bounds
 from mcgorbits.euler import (
-    IllConditionedError, axes_cross, cocycle, conjugated_generator_word,
-    relator_euler_number, standard_group,
+    IllConditionedError, SamplingCapError, axes_cross, relator_euler_number,
+    sample_cocycles, standard_group,
 )
 from mcgorbits.invariants import vanishing_number_array
-from mcgorbits.normalize import macro_word, normalize
+from mcgorbits.normalize import normalize
 from mcgorbits.orbits import MOD, MOD_PM, enumerate_orbits
 from mcgorbits.sl2 import generate_sl2, sl2_group_order
-from mcgorbits.space import (
-    SpaceParams, decode, decode_array, make_element,
-)
+from mcgorbits.space import SpaceParams, decode, decode_array
 
 ODD_CASES = ((2, 1), (3, 1), (4, 3), (7, 3))
 EVEN_CASES = ((2, 2), (3, 2), (3, 4), (4, 2), (4, 6), (5, 2), (5, 4))
@@ -69,19 +68,10 @@ def test_criterion_04_vanishing_number_constant_and_separating():
     for g, n in EVEN_CASES:
         p = SpaceParams(g, n)
         for selector in (MOD, MOD_PM):
-            bounds = {}
-
-            def hook(ordinal, batch):
-                v = vanishing_number_array(decode_array(batch, p))
-                lo, hi = int(v.min()), int(v.max())
-                if ordinal in bounds:
-                    lo = min(lo, bounds[ordinal][0])
-                    hi = max(hi, bounds[ordinal][1])
-                bounds[ordinal] = (lo, hi)
-
-            report = enumerate_orbits(p, selector, record_paths=False,
-                                      batch_hook=hook)
-            assert report.orbit_count == 2, (g, n, selector)
+            bounds = vanishing_bounds(
+                p, selector,
+                lambda batch: vanishing_number_array(decode_array(batch, p)), 1)
+            assert len(bounds) == 2, (g, n, selector)  # one entry per orbit
             values = []
             for ordinal, (lo, hi) in bounds.items():
                 assert lo == hi, f"not constant on orbit {ordinal} ({g},{n})"
@@ -120,13 +110,8 @@ def test_criterion_06_parity_macro():
     checked = 0
     for n in range(1, 13):
         for g in (2, 3):
-            p = SpaceParams(g, n, strict_euler=False)
-            for beta in range(n):
-                x = make_element(p, [0] * (2 * g - 1) + [beta])
-                y = apply_word(macro_word(beta, p), x)
-                assert y.coords == tuple([0] * (2 * g - 1) + [(beta + 2) % n]), \
-                    (g, n, beta)
-                checked += 1
+            assert macro_exact(g, n), (g, n)
+            checked += n
     _pass(6, f"+2 macro exact for all beta, n <= 12 ({checked} instances)")
 
 
@@ -187,41 +172,24 @@ def test_criterion_09_symplectic_image():
 def test_criterion_10_euler_cocycle():
     start = time.monotonic()
     group = standard_group(2)
-    rng = random.Random(20250810)
-    names = ["a1", "b1", "a2", "b2"]
-
-    def rand_word():
-        return tuple((rng.choice(names), rng.choice([-1, 1]))
-                     for _ in range(rng.randrange(1, 7)))
-
-    sampled = 0
     crossing_checked = 0
-    draws = 0
-    while sampled < 200:
-        if draws == 20 * 200:
-            pytest.fail(f"cocycle sampling stopped after {draws} attempts: "
-                        f"{draws - sampled} rejected as ill-conditioned, "
-                        f"{sampled} of 200 samples accepted")
-        draws += 1
-        w1, w2 = rand_word(), rand_word()
-        try:
-            value = cocycle(group, w1, w2)
-        except IllConditionedError:
-            continue
-        sampled += 1
-        assert value.value in (-1, 0, 1), (w1, w2)
-        assert value.residual < 1e-6, (w1, w2)
-        try:
-            if axes_cross(group, w1, w2):
-                crossing_checked += 1
-                assert value.value == 0, (w1, w2)
-        except IllConditionedError:
-            pass
+    # the pairs `mcgorbits verify --suite cocycle` samples at its default seed
+    pairs = sample_cocycles(group, random.Random(20250810), 200, 6)
+    try:
+        for w1, w2, value in pairs:
+            assert value.value in (-1, 0, 1), (w1, w2)
+            assert value.residual < 1e-6, (w1, w2)
+            try:
+                if axes_cross(group, w1, w2):
+                    crossing_checked += 1
+                    assert value.value == 0, (w1, w2)
+            except IllConditionedError:
+                pass
+    except SamplingCapError as exc:
+        pytest.fail(f"cocycle sampling {exc}")
     assert crossing_checked > 20
 
-    aprime = conjugated_generator_word(2)
-    inv = tuple((name, -e) for (name, e) in reversed(aprime))
-    assert cocycle(group, "a1", inv).value == 1
+    assert aprime_cocycle(group) == 1
 
     assert relator_euler_number(group) == 2
     assert relator_euler_number(standard_group(3)) == 4

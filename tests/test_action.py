@@ -1,5 +1,6 @@
 """Tests for the twist generators, words, and multi-twists."""
 
+import itertools
 import random
 
 import numpy as np
@@ -8,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from mcgorbits.action import (
     EMPTY_WORD, Generator, GeneratorWord, MultiTwist, WordSyntaxError,
-    apply_token, apply_word, format_word, generator_action, make_token,
-    multi_twist_action, parse_word, word_action,
+    apply_word, format_word, generator_action, make_token,
+    multi_twist_action, parse_word, replay_tokens, word_action,
 )
 from mcgorbits.space import (
-    SpaceParams, apply_affine, linear_translation_split, make_element,
-    zero_element,
+    AffineMap, SpaceParams, apply_affine, linear_translation_split,
+    make_element, zero_element,
 )
 
 
@@ -84,9 +85,10 @@ def test_ab_block_matrices():
     Lb, _ = linear_translation_split(generator_action(Generator("B", 1), p))
     assert np.array_equal(La[0:2, 0:2], np.array([[1, 0], [-1, 1]]) % 7)
     assert np.array_equal(Lb[0:2, 0:2], np.array([[1, 1], [0, 1]]) % 7)
-    from mcgorbits.sl2 import letter_matrix
-    assert np.array_equal(letter_matrix(0, 7), np.array([[1, 0], [-1, 1]]) % 7)
-    assert np.array_equal(letter_matrix(2, 7), np.array([[1, 1], [0, 1]]) % 7)
+    from mcgorbits.sl2 import _letter_matrices
+    # L, L^-1, R, R^-1 as (m00, m01, m10, m11) mod 7
+    assert _letter_matrices(7) == ((1, 0, 6, 1), (1, 0, 1, 1),
+                                   (1, 1, 0, 1), (1, 6, 0, 1))
 
 
 def test_c_inverse_is_affine_inverse():
@@ -189,7 +191,7 @@ def test_token_word_and_affine_replays_agree(case):
     x = make_element(p, coords)
     by_token = list(x.coords)
     for token in w.tokens:
-        apply_token(token, by_token, p)
+        replay_tokens((token,), by_token, p.n, p.g)
     image = apply_word(w, x)
     assert image.coords == tuple(by_token)
     assert image == apply_affine(word_action(w, p), x)
@@ -263,13 +265,34 @@ def test_multi_twist_example_g3():
     assert apply_affine(m, zero_element(p)).coords == (0, 1, 0, 0, 0, 4)
 
 
+def closed_form_multi_twist(ks, p):
+    """Reference for C_1^(k_1) ... C_{g-1}^(k_{g-1}).
+
+    With the convention k_0 = k_g = 0:
+        beta_i -> beta_i + k_i alpha_{i+1} - (k_i + k_{i-1}) alpha_i
+                  + k_{i-1} alpha_{i-1} + k_i - k_{i-1}
+    """
+    g = p.g
+    ks = [0] + list(ks) + [0]  # k_0 .. k_g
+    lin = np.eye(2 * g, dtype=np.int64)
+    tra = np.zeros(2 * g, dtype=np.int64)
+    for i in range(1, g + 1):
+        b = 2 * i - 1
+        lin[b, 2 * i - 2] += -(ks[i] + ks[i - 1])
+        if i < g:
+            lin[b, 2 * i] += ks[i]
+        if i > 1:
+            lin[b, 2 * i - 4] += ks[i - 1]
+        tra[b] = ks[i] - ks[i - 1]
+    return AffineMap(p.n, lin, tra)
+
+
 def test_multi_twist_matches_word_exhaustive():
-    p = params(3, 3)
-    for k1 in range(-2, 3):
-        for k2 in range(-2, 3):
-            mt = multi_twist_action(MultiTwist((k1, k2)), p)
-            w = MultiTwist((k1, k2)).to_word()
-            assert mt == word_action(w, p), (k1, k2)
+    for g, n in ((3, 3), (4, 6)):
+        p = params(g, n)
+        for ks in itertools.product(range(-2, 3), repeat=g - 1):
+            mt = multi_twist_action(MultiTwist(ks), p)
+            assert mt == closed_form_multi_twist(ks, p), (g, n, ks)
 
 
 def test_multi_twist_wrong_length():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcgorbits import cli, euler
+from mcgorbits import checks, euler
 from mcgorbits.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -248,6 +248,15 @@ def test_verify_cocycle_sampling_is_capped(capsys, monkeypatch):
             "100 rejected as ill-conditioned, 0 of 5 samples accepted") in out
 
 
+@pytest.mark.parametrize("command", [("cocycle",), ("verify", "--suite", "cocycle")])
+def test_unrealizable_genus_is_a_clean_error(capsys, command):
+    # the genus-12 relator has a prefix too close to parabolic to lift
+    code, out, err = run(capsys, *command, "--genus", "12")
+    assert code == 2 and out == ""
+    assert err.startswith("error: genus 12 cannot be realized: ")
+    assert err.count("\n") == 1
+
+
 # sha256 of stdout, recorded before the lifts and the vanishing numbers
 # were cached; the genus-3 run was recorded once a product whose
 # determinant rounds to <= 0 counted as ill-conditioned (it crashed before)
@@ -284,7 +293,7 @@ def test_verify_cocycle_rejects_products_lost_to_rounding(capsys):
 
 
 def test_corrupted_vanishing_value_fails_the_invariants_suite(capsys, monkeypatch):
-    real = cli.vanishing_number_array
+    real = checks.vanishing_number_array
     # one state of (g=3, n=4), inside a multi-state hook batch for both
     # generator sets; no state of (g=3, n=2) has a coordinate 2
     corrupted = np.array([0, 2, 0, 0, 0, 0])
@@ -295,7 +304,7 @@ def test_corrupted_vanishing_value_fails_the_invariants_suite(capsys, monkeypatc
             values ^= (coords == corrupted).all(axis=1)
         return values
 
-    monkeypatch.setattr(cli, "vanishing_number_array", vanishing_number_array)
+    monkeypatch.setattr(checks, "vanishing_number_array", vanishing_number_array)
     code, out, _ = run(capsys, "verify", "--suite", "invariants")
     assert code == 1
     lines = out.splitlines()

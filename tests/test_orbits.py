@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcgorbits.action import Generator, apply_token, apply_word
+from mcgorbits.action import Generator, apply_word, replay_tokens
 from mcgorbits.invariants import vanishing_number, vanishing_number_array
 from mcgorbits.normalize import Certificate, normalize
 from mcgorbits.orbits import (
@@ -30,18 +30,18 @@ def test_one_point_space():
 
 
 def _token_images(gens, p):
-    """Image index of every state under each token, by action.apply_token."""
+    """Image index of every state under each token, by action.replay_tokens."""
     out = np.empty((len(gens), p.size), dtype=np.int64)
     for idx in range(p.size):
         for row, gen in zip(out, gens):
             coords = list(decode(idx, p).coords)
-            apply_token(gen, coords, p)
+            replay_tokens((gen,), coords, p.n, p.g)
             row[idx] = encode(make_element(p, coords))
     return out
 
 
 def _check_kernel(gens, p):
-    """Every kernel image is a permutation and agrees with apply_token on
+    """Every kernel image is a permutation and agrees with replay_tokens on
     every state; returns the images."""
     states = np.arange(p.size, dtype=np.int64)
     images = _image_kernel(gens, p)(states)
@@ -172,7 +172,7 @@ def test_more_threads_than_generators():
 
 def _reference_orbits(p, selector):
     """(representative index, size) per orbit, by union-find over every
-    signed generator replayed with action.apply_token: no delta table."""
+    signed generator replayed with action.replay_tokens: no delta table."""
     gens = []
     for i in range(1, p.g + 1):
         gens += [Generator(kind, i, e) for kind in "AB" for e in (1, -1)]
@@ -192,7 +192,7 @@ def _reference_orbits(p, selector):
     for idx, coords in enumerate(states):
         for gen in gens:
             image = list(coords)
-            apply_token(gen, image, p)
+            replay_tokens((gen,), image, p.n, p.g)
             a, b = find(idx), find(index_of[tuple(image)])
             if a != b:
                 root[max(a, b)] = min(a, b)  # roots stay orbit minima
