@@ -7,6 +7,8 @@ both run the same code.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import euler
@@ -18,6 +20,8 @@ from .space import SpaceParams, decode_array, make_element
 
 # states decoded per call while a vanishing table is built
 TABLE_CHUNK = 1 << 10
+# largest distance of a sampled cocycle value from its integer
+COCYCLE_RESIDUAL_BOUND = 1e-6
 
 
 def theorem_cases(max_states: float):
@@ -83,3 +87,24 @@ def aprime_cocycle(group: euler.FuchsianGroup) -> int:
     inverse = tuple((name, -e) for name, e in reversed(aprime))
     return euler.cocycle(group, "a1", inverse).value
 
+
+class CocycleSampleCheck(NamedTuple):
+    in_range: bool     # value in {-1, 0, 1}, residual below the bound
+    crosses: bool      # the axes of w1 and w2 cross transversely
+    crossing_ok: bool  # the value is 0 where the axes cross
+
+
+def cocycle_sample(group: euler.FuchsianGroup, w1, w2,
+                   value: euler.CocycleValue) -> CocycleSampleCheck:
+    """Judge one sampled cocycle value c(w1, w2).
+
+    The axes count as not crossing when they share an endpoint within
+    tolerance, where crossing cannot be told.
+    """
+    try:
+        crosses = euler.axes_cross(group, w1, w2)
+    except euler.IllConditionedError:
+        crosses = False
+    return CocycleSampleCheck(
+        value.value in (-1, 0, 1) and value.residual < COCYCLE_RESIDUAL_BOUND,
+        crosses, not crosses or value.value == 0)

@@ -268,13 +268,9 @@ def suite_cocycle(args, chk: Checker) -> None:
     pairs = euler.sample_cocycles(group, random.Random(args.seed), args.samples, 6)
     try:
         for w1, w2, cv in pairs:
-            if cv.value not in (-1, 0, 1) or cv.residual >= 1e-6:
-                bad += 1
-            try:
-                if euler.axes_cross(group, w1, w2) and cv.value != 0:
-                    crossing_bad += 1
-            except euler.IllConditionedError:
-                pass
+            sample = checks.cocycle_sample(group, w1, w2, cv)
+            bad += not sample.in_range
+            crossing_bad += not sample.crossing_ok
     except euler.SamplingCapError as exc:
         chk.check_true("cocycle sampling", False, str(exc))
     chk.check(f"cocycle {args.samples} samples out of range", bad, 0)

@@ -293,7 +293,13 @@ def sigma0_lift(group: FuchsianGroup, word) -> LiftedCircleMap:
 
 
 def cocycle(group: FuchsianGroup, w1, w2) -> CocycleValue:
-    """The integer c with lift0(w1 w2) = delta^c lift0(w1) lift0(w2)."""
+    """The integer c with lift0(w1 w2) = delta^c lift0(w1) lift0(w2).
+
+    The value is returned as computed, even outside {-1, 0, 1}:
+    `checks.cocycle_sample` judges it.  IllConditionedError is raised
+    only when a factor or the product is not hyperbolic, or the sampled
+    angles disagree.
+    """
     m1 = group.evaluate(w1)
     m2 = group.evaluate(w2)
     for m, w in ((m1, w1), (m2, w2), (_normalized(m1 @ m2), None)):
@@ -301,10 +307,7 @@ def cocycle(group: FuchsianGroup, w1, w2) -> CocycleValue:
                 and abs(m[0, 0] + m[1, 1]) <= 2:
             raise IllConditionedError(
                 f"non-hyperbolic factor in cocycle evaluation ({w!r})")
-    value, residual = lift_cocycle(m1, m2, group.tolerance)
-    if value not in (-1, 0, 1):
-        raise IllConditionedError(f"cocycle value {value} outside -1..1")
-    return CocycleValue(value, residual)
+    return CocycleValue(*lift_cocycle(m1, m2, group.tolerance))
 
 
 def sample_cocycles(group: FuchsianGroup, rng, count: int, max_len: int):

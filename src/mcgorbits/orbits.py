@@ -21,17 +21,44 @@ exactly the group orbit (the orbits of a finite Schreier graph are its
 strongly connected components).  That halves the work of searching
 with the signed list.
 
+Twists about disjoint curves commute.  Here only the chain neighbours
+A_i-B_i, B_i-C_{i-1} and B_i-C_i fail to commute, plus s with every
+twist when n >= 3; the relation is derived from the same affine maps,
+composed both ways mod n, for the pairs that share a block.  A state
+that generator u found is expanded only by the generators j < r(u),
+where the reach r(u) is 1 plus the last index j >= u whose map does
+not commute with u's; in the order of `positive_generators` that skips
+every later generator that commutes with u, and the seed is expanded
+by all.  That leaves about 3.6 candidates per state instead of 3g - 1
+(move pruning, as in Holte and Burch, "Automatic move pruning for
+single-agent search", AI Communications 27(4), 2014).
+
+Why it is exact.  Suppose the pair (p, v) is skipped: p = u(x) with x
+on level d-1, v > u, and uv = vu.  If v(p) is new on level d+1, then
+q = v(x) lies on level d (it is within d steps of the seed, and if it
+were nearer then u(q) = v(p) would be too), and the pair (q, u) reaches
+the same state with the smaller generator u.  So among the pairs into a
+state of level d+1 the one with the smallest generator is never
+skipped, whichever generator found its source; this holds for any
+order and chunking, and the level sets are those of the unpruned
+search.  Partitions, orbit sizes and representatives are unchanged;
+hook batches and parent links depend on the order, and `trace_path`
+words stay positive words of BFS length that replay.
+
 The calling thread takes the generators of each chunk in order, tests
 each image against the visited set once and marks the fresh states at
-once, so a state reached twice is caught by that one test.  Chunks are
-cache-sized (`chunk_size` states) and drawn from the parts of the level
-as they were found; a level is never concatenated.  With thread_count
-k > 1, k - 1 pool workers compute the images of the chunks ahead and
-never read or write the visited set.  Orbit representatives are the
-minimal state indices, a total order independent of search order, and
-the partition, the batches passed to the hook and the parent links are
-identical for every thread count.  Parent links for path certificates
-are optional and off by default on large spaces.
+once, so a state reached twice is caught by that one test.  A level is
+kept as parts keyed by the reach of the generator that found them, and
+chunks of `chunk_size` states are cut from them in descending reach,
+so row j of a chunk is its leading states whose reach exceeds j: a
+prefix, and a prefix slice of the shared block keys.  Parts are
+consumed as they are chunked; a level is never concatenated.  With
+thread_count k > 1, k - 1 pool workers compute the images of the chunks
+ahead and never read or write the visited set.  Orbit representatives
+are the minimal state indices, a total order independent of search
+order, and the partition, the batches passed to the hook and the parent
+links are identical for every thread count.  Parent links for path
+certificates are optional and off by default on large spaces.
 """
 
 from __future__ import annotations
@@ -88,21 +115,25 @@ class OrbitMismatchError(ValueError):
 
 
 def positive_generators(params: SpaceParams, selector: GeneratorSet) -> tuple:
-    """A_i, B_i and C_i with exponent +1, plus s for mod_pm, in a fixed order.
+    """A_i, B_i and C_i with exponent +1, plus s for mod_pm, in a fixed order:
+    s (mod_pm only), A_1, B_1, C_1, B_2, A_2, C_2, B_3, A_3, ..., C_{g-1},
+    B_g, A_g.
 
     Each generator permutes the finite state space, so its inverse is one
     of its positive powers; these 3g - 1 (or 3g) tokens therefore reach
-    the same orbits as the full signed list.
+    the same orbits as the full signed list.  In this order the later
+    generators that fail to commute with u come right after u: B_1
+    after A_1, C_i after B_i (and A_i), B_{i+1} after C_i, and s, which
+    fails to commute with every twist when n >= 3, is first.  So the
+    generators the search applies to a state that u found are a prefix
+    of the list (see `enumerate_orbits`).
     """
     if selector not in GENERATOR_SETS:
         raise ValueError(f"unknown generator set {selector!r}")
-    gens = []
-    for i in range(1, params.g + 1):
-        gens.append(Generator("A", i))
-        gens.append(Generator("B", i))
-    gens.extend(Generator("C", i) for i in range(1, params.g))
-    if selector == MOD_PM:
-        gens.append(Generator("s"))
+    gens = [Generator("s")] if selector == MOD_PM else []
+    gens += [Generator("A", 1), Generator("B", 1)]
+    for i in range(2, params.g + 1):
+        gens += [Generator("C", i - 1), Generator("B", i), Generator("A", i)]
     return tuple(gens)
 
 
@@ -133,105 +164,208 @@ def delta_table_bytes(generators, params: SpaceParams) -> int:
     return TABLE_BYTES_PER_ENTRY * sum(keys) + TABLE_BUILD_BYTES_PER_KEY * max(keys)
 
 
-def _delta_terms(gen: Generator, params: SpaceParams) -> list:
-    """[(key slot, delta table)] with gen(x) = x + the sum of delta[key].
+def _local_action(gen: Generator, params: SpaceParams):
+    """(terms, step) for the generator's affine map x -> Lx + t
+    (`action.generator_action`).
 
-    The tables are the generator's affine map (`action.generator_action`)
-    evaluated on the local digit keys of the blocks it touches, vectorized
-    over the keys: one term on block i (key alpha_i + n*beta_i, slot i)
-    for A_i and B_i, one term on blocks i and i+1 (key_i + n^2 key_{i+1},
-    slot g + i) for C_i, and one term per block for s.  This is exact
-    only when the map moves no coordinate outside its terms and couples
-    no two terms, which is checked here.
+    `terms` is [(lo, hi)], the coordinates lo..hi-1 of each of its delta
+    terms (`_term_blocks`).  `step` is the map minus the identity,
+    sparse: step[i][j] is the nonzero entry (i, j) of L - 1 mod n, and
+    step[i][2g] the nonzero t_i.  Every entry must lie within one term
+    (the map moves nothing outside its terms and couples no two), which
+    is checked here, so the map acts on each term's coordinates alone.
     """
     g, n = params.g, params.n
     action = generator_action(gen, params)
-    terms = _term_blocks(gen, g)
     moved = (action.linear - np.eye(2 * g, dtype=np.int64)) % n
-    shifted = action.translation.copy()
-    tables = []
-    for block, width in terms:
-        lo, hi = 2 * block, 2 * (block + width)
-        lin, tra = action.linear[lo:hi, lo:hi], action.translation[lo:hi]
-        keys = np.arange(n ** (hi - lo), dtype=np.int64)
-        digits = [keys // n ** k % n for k in range(hi - lo)]
-        delta = np.zeros_like(keys)
-        for r, digit in enumerate(digits):
-            image = sum(int(lin[r, c]) * digits[c] for c in range(hi - lo))
-            delta += ((image + int(tra[r])) % n - digit) * n ** (lo + r)
-        moved[lo:hi, lo:hi] = 0
-        shifted[lo:hi] = 0
-        tables.append((block if width == 1 else g + block, delta))
-    if moved.any() or shifted.any():
-        raise ValueError(f"{gen} is not local to its blocks")
-    return tables
+    step = {}
+    rows, cols = np.nonzero(moved)
+    for i, j, x in zip(rows.tolist(), cols.tolist(), moved[rows, cols].tolist()):
+        step.setdefault(i, {})[j] = x
+    rows = np.flatnonzero(action.translation)
+    for i, x in zip(rows.tolist(), action.translation[rows].tolist()):
+        step.setdefault(i, {})[2 * g] = x
+    terms = [(2 * block, 2 * (block + width))
+             for block, width in _term_blocks(gen, g)]
+    for i, row in step.items():
+        if not any(lo <= i < hi and all(lo <= j < hi for j in row if j != 2 * g)
+                   for lo, hi in terms):
+            raise ValueError(f"{gen} is not local to its blocks")
+    return terms, step
+
+
+def _delta_table(lo: int, hi: int, step: dict, n: int) -> np.ndarray:
+    """delta[key] = gen(x) - x for the local digit key of coordinates
+    lo..hi-1 (digit k weighs n^k), vectorized over the keys; `step` is
+    the generator's sparse map minus the identity (`_local_action`)."""
+    keys = np.arange(n ** (hi - lo), dtype=np.int64)
+    digits = [keys // n ** k % n for k in range(hi - lo)]
+    delta = np.zeros_like(keys)
+    for i in range(lo, hi):
+        if i in step:
+            image = digits[i - lo] + sum(
+                x * (digits[j - lo] if j < hi else 1) for j, x in step[i].items())
+            delta += (image % n - digits[i - lo]) * n ** i
+    return delta
+
+
+def _commute(u: dict, v: dict, n: int) -> bool:
+    """Do two affine maps commute mod n?  Each is given as its `step`
+    (`_local_action`): with the homogeneous coordinate, a map is 1 + N and
+    uv - vu = N_u N_v - N_v N_u, so the two products of the sparse steps
+    are compared, and only entries that meet are multiplied."""
+    def product(a, b):
+        out = {}
+        for i, row in a.items():
+            for j, x in row.items():
+                for k, y in b.get(j, {}).items():
+                    out[i, k] = out.get((i, k), 0) + x * y
+        return out
+
+    uv, vu = product(u, v), product(v, u)
+    return all((uv.get(key, 0) - vu.get(key, 0)) % n == 0
+               for key in uv.keys() | vu.keys())
+
+
+def _reach(local: list, n: int) -> list:
+    """reach[u] = 1 + the last index j >= u whose map does not commute
+    with generator u's, where local[u] is generator u's `_local_action`.
+
+    Only pairs that share a block are composed: maps on disjoint blocks
+    commute.  The candidates are tried from the last one down, so a
+    generator whose last neighbour fails to commute costs one check.
+    """
+    on_block = {}
+    for j, (terms, _) in enumerate(local):
+        for lo, hi in terms:
+            for block in range(lo // 2, hi // 2):
+                on_block.setdefault(block, set()).add(j)
+    reach = []
+    for u, (terms, step) in enumerate(local):
+        near = set()
+        for lo, hi in terms:
+            for block in range(lo // 2, hi // 2):
+                near |= on_block[block]
+        last = next((v for v in sorted(near, reverse=True)
+                     if v > u and not _commute(step, local[v][1], n)), u)
+        reach.append(last + 1)
+    return reach
 
 
 def _image_kernel(gens, params: SpaceParams):
-    """images(chunk) -> (len(gens), chunk.size) array of generator images.
+    """(images, reach) for a generator list.
 
-    The g block keys (and the g - 1 keys of adjacent block pairs) of the
-    chunk are computed once and shared by every generator, so an image
-    is one gather per term plus one add.  The kernel reads only the
-    chunk and its own tables: it is safe to run on worker threads.
+    `reach` is the generators' `_reach`.
+    `images(chunk, counts)` returns the images of chunk[:counts[j]] under
+    generator j, for each j while counts[j] > 0; counts must not
+    increase.  The g block keys (and the g - 1 keys of adjacent block
+    pairs) are computed once per chunk, each on the longest prefix a row
+    reads, and shared by every generator, so an image is one gather per
+    term plus one add.  The kernel reads only the chunk and its own
+    tables: it is safe to run on worker threads.
     """
     g, n = params.g, params.n
     n2 = n * n
     shift = n2.bit_length() - 1 if n2 & (n2 - 1) == 0 else 0
-    tables = [_delta_terms(gen, params) for gen in gens]
+    local = [_local_action(gen, params) for gen in gens]
+    reach = _reach(local, n)
+    tables = []
+    for terms, step in local:
+        tables.append([(lo // 2 if hi - lo == 2 else g + lo // 2,
+                        _delta_table(lo, hi, step, n))
+                       for lo, hi in terms])
+    # first[s]: the first row that reads key slot s, or a pair key built
+    # from it.  A block key is cut from the quotient left by the blocks
+    # before it, so block i's key is computed on a prefix at least as
+    # long as every later block's.
+    last_row = len(gens) - 1
+    first = [last_row] * (2 * g - 1)
+    for j, terms in enumerate(tables):
+        for slot, _ in terms:
+            first[slot] = min(first[slot], j)
+            if slot >= g:
+                first[slot - g] = min(first[slot - g], j)
+                first[slot - g + 1] = min(first[slot - g + 1], j)
+    for i in range(g - 2, -1, -1):
+        first[i] = min(first[i], first[i + 1])
 
-    def images(chunk):
+    def images(chunk, counts):
         keys = []
-        q = chunk
-        for _ in range(g - 1):
+        q = chunk[:counts[first[0]]]
+        for i in range(g - 1):
+            size = counts[first[i + 1]]
             if shift:  # power-of-two radix: shifts instead of division
                 keys.append(q & (n2 - 1))
-                q = q >> shift
+                q = q[:size] >> shift
             else:
                 rest = q // n2
                 keys.append(q - rest * n2)
-                q = rest
+                q = rest[:size]
         keys.append(q)
-        keys += [keys[i] + n2 * keys[i + 1] for i in range(g - 1)]
-        out = np.empty((len(tables), chunk.size), dtype=np.int64)
-        for row, terms in zip(out, tables):
+        for i in range(g - 1):
+            size = counts[first[g + i]]
+            keys.append(keys[i][:size] + n2 * keys[i + 1][:size])
+        rows = []
+        for terms, size in zip(tables, counts):
+            if size == 0:
+                break
             (slot, delta), *rest = terms
-            np.add(chunk, delta.take(keys[slot]), out=row)
+            row = chunk[:size] + delta.take(keys[slot][:size])
             for slot, delta in rest:
-                row += delta.take(keys[slot])
-        return out
+                row += delta.take(keys[slot][:size])
+            rows.append(row)
+        return rows
 
-    return images
+    return images, reach
 
 
-def _chunks(parts: deque, size: int):
-    """Consecutive `size`-state chunks of the parts laid end to end,
-    consuming the parts as it goes; the level is never concatenated."""
+def _chunks(level: dict, size: int, generator_count: int):
+    """(chunk, counts): consecutive `size`-state chunks of the level's
+    parts laid end to end in descending reach, consuming the parts as it
+    goes; the level is never concatenated.  counts[j] is the number of
+    the chunk's states whose reach exceeds j, a prefix of the chunk."""
     held, count = [], 0
-    while parts:
-        part = parts.popleft()
-        while part.size:
-            piece = part[:size - count]
-            part = part[piece.size:]
-            held.append(piece)
-            count += piece.size
-            if count == size:
-                yield held[0] if len(held) == 1 else np.concatenate(held)
-                held, count = [], 0
+    for r in sorted(level, reverse=True):
+        parts = level.pop(r)
+        while parts:
+            part = parts.popleft()
+            while part.size:
+                piece = part[:size - count]
+                part = part[piece.size:]
+                held.append((r, piece))
+                count += piece.size
+                if count == size:
+                    yield _joined(held, generator_count)
+                    held, count = [], 0
     if held:
-        yield np.concatenate(held)
+        yield _joined(held, generator_count)
+
+
+def _joined(held: list, generator_count: int):
+    """One chunk from its (reach, piece) pieces, in descending reach."""
+    chunk = held[0][1] if len(held) == 1 else np.concatenate(
+        [piece for _, piece in held])
+    counts = [0] * generator_count
+    total = k = 0
+    for j in range(generator_count - 1, -1, -1):
+        while k < len(held) and held[k][0] > j:
+            total += held[k][1].size
+            k += 1
+        counts[j] = total
+    return chunk, counts
 
 
 def _with_images(chunks, images, pool, ahead: int):
-    """(chunk, images(chunk)) in chunk order.  With a pool, the images of
-    up to `ahead` further chunks are computed by its workers meanwhile."""
+    """(chunk, images(chunk, counts)) in chunk order.  With a pool, the
+    images of up to `ahead` further chunks are computed by its workers
+    meanwhile."""
     if pool is None:
-        for chunk in chunks:
-            yield chunk, images(chunk)
+        for chunk, counts in chunks:
+            yield chunk, images(chunk, counts)
         return
     pending = deque()
-    for chunk in chunks:
-        pending.append((chunk, pool.submit(images, chunk)))
+    for chunk, counts in chunks:
+        pending.append((chunk, pool.submit(images, chunk, counts)))
         if len(pending) > ahead:
             chunk, future = pending.popleft()
             yield chunk, future.result()
@@ -320,13 +454,17 @@ def enumerate_orbits(
 
     The breadth-first search applies only the positive generators (see
     `positive_generators`): each permutes the finite space, so the states
-    they reach from a seed form its whole orbit under the group.  Each
-    level is cut into chunks of `chunk_size` states; the images of a
-    chunk share its block digit keys, and the calling thread checks and
-    marks them generator by generator, one bitmap test per candidate.
-    With `thread_count` > 1 the extra threads only compute the images of
-    the chunks ahead, so the result, the hook calls and the parent links
-    (positive words for `trace_path`) do not depend on `thread_count`.
+    they reach from a seed form its whole orbit under the group.  A state
+    found by generator u is expanded only by the generators before its
+    reach, which skips the later ones that commute with u; the levels
+    stay exactly those of the full search (see the module docstring).
+    Each level is cut into chunks of `chunk_size` states, highest reach
+    first; the images of a chunk share its block digit keys, and the
+    calling thread checks and marks them generator by generator, one
+    bitmap test per candidate.  With `thread_count` > 1 the extra
+    threads only compute the images of the chunks ahead, so the result,
+    the hook calls and the parent links (positive words of BFS length
+    for `trace_path`) do not depend on `thread_count`.
 
     `batch_hook(orbit_ordinal, index_array)` is invoked on every block of
     states as it is discovered (including the seed), which lets callers
@@ -360,7 +498,7 @@ def enumerate_orbits(
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
 
-    images = _image_kernel(generators, params)
+    images, reach = _image_kernel(generators, params)
     visited = np.zeros(nbytes, dtype=np.uint8)
     parent = parent_gen = None
     if record_paths:
@@ -394,11 +532,14 @@ def enumerate_orbits(
             if batch_hook is not None:
                 batch_hook(orbit_ordinal, np.array([seed], dtype=np.int64))
             orbit_size = 1
-            level = deque([np.array([seed], dtype=np.int64)])
+            # a level is kept as parts keyed by the reach of the generator
+            # that found them; the seed is expanded by every generator
+            level = {len(generators): deque([np.array([seed], dtype=np.int64)])}
             while level:
-                parts = deque()
+                parts = {}
                 for chunk, candidates in _with_images(
-                        _chunks(level, chunk_size), images, pool, 2 * thread_count):
+                        _chunks(level, chunk_size, len(generators)),
+                        images, pool, 2 * thread_count):
                     for gen_id, nxt in enumerate(candidates):
                         # a generator is a bijection and the level holds
                         # distinct states, so nxt is duplicate-free; a
@@ -415,7 +556,7 @@ def enumerate_orbits(
                             parent_gen[nxt] = gen_id
                         if batch_hook is not None:
                             batch_hook(orbit_ordinal, nxt)
-                        parts.append(nxt)
+                        parts.setdefault(reach[gen_id], deque()).append(nxt)
                         orbit_size += nxt.size
                 level = parts
 

@@ -220,6 +220,27 @@ def test_cocycle_sampling_deterministic(capsys):
         assert sample["residual"] < 1e-6
 
 
+def test_out_of_range_cocycle_fails_verify(capsys, monkeypatch):
+    # a cocycle reading 2 where it read 0 is a wrong value, not an
+    # ill-conditioned sample: the range check must see it
+    group = euler.standard_group(2)
+    real = euler.lift_cocycle
+
+    def lift_cocycle(m1, m2, tolerance=1e-6):
+        value, residual = real(m1, m2, tolerance)
+        return (2 if value == 0 else value), residual
+
+    monkeypatch.setattr(euler, "standard_group", lambda genus: group)
+    monkeypatch.setattr(euler, "lift_cocycle", lift_cocycle)
+    code, out, _ = run(capsys, "verify", "--suite", "cocycle",
+                       "--samples", "50")
+    assert code == 1
+    line = next(text for text in out.splitlines()
+                if "samples out of range" in text)
+    assert line.startswith("FAIL cocycle 50 samples out of range: expected 0, got ")
+    assert int(line.rsplit(" ", 1)[1]) > 0
+
+
 def _always_ill_conditioned(monkeypatch):
     """Make every sampled pair ill-conditioned; named words still evaluate."""
     real = euler.cocycle

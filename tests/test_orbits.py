@@ -1,21 +1,23 @@
 """Tests for the exhaustive orbit engine."""
 
+import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mcgorbits.action import Generator, apply_word, replay_tokens
+from mcgorbits.action import Generator, apply_word, generator_action, replay_tokens
 from mcgorbits.invariants import vanishing_number, vanishing_number_array
 from mcgorbits.normalize import Certificate, normalize
 from mcgorbits.orbits import (
     BudgetConfigError, BudgetExceededError, MOD, MOD_PM, OrbitMismatchError,
-    PathsUnavailableError, _image_kernel, delta_table_bytes, enumerate_orbits,
-    positive_generators, trace_path,
+    PathsUnavailableError, _commute, _image_kernel, _local_action,
+    delta_table_bytes, enumerate_orbits, positive_generators, trace_path,
 )
 from mcgorbits.space import (
-    SpaceParams, decode, decode_array, encode, make_element, zero_element,
+    SpaceParams, compose, decode, decode_array, encode, make_element,
+    zero_element,
 )
 
 
@@ -44,7 +46,8 @@ def _check_kernel(gens, p):
     """Every kernel image is a permutation and agrees with replay_tokens on
     every state; returns the images."""
     states = np.arange(p.size, dtype=np.int64)
-    images = _image_kernel(gens, p)(states)
+    kernel, _ = _image_kernel(gens, p)
+    images = np.array(kernel(states, [p.size] * len(gens)))
     assert images.shape == (len(gens), p.size)
     for gen, image in zip(gens, images):
         assert np.array_equal(np.sort(image), states), f"{gen} is not a bijection"
@@ -221,6 +224,103 @@ def test_partition_matches_union_find_reference(g, n, selector):
     for o in report.orbits:
         want = vanishing_number(o.representative) if n % 2 == 0 else None
         assert o.vanishing_number == want
+
+
+def _bfs_distances(p, selector, roots):
+    """{coords: distance from its orbit's root}, by a plain BFS over the
+    positive generators replayed with action.replay_tokens."""
+    gens = positive_generators(p, selector)
+    dist = {}
+    for root in roots:
+        dist[root.coords] = 0
+        frontier = [root.coords]
+        while frontier:
+            found = []
+            for coords in frontier:
+                for gen in gens:
+                    image = list(coords)
+                    replay_tokens((gen,), image, p.n, p.g)
+                    image = tuple(image)
+                    if image not in dist:
+                        dist[image] = dist[coords] + 1
+                        found.append(image)
+            frontier = found
+    return dist
+
+
+@pytest.mark.parametrize("g,n", [(2, n) for n in range(1, 8)]
+                         + [(3, 3), (3, 4), (4, 2)])
+def test_levels_are_breadth_first_distances(g, n):
+    # the pruned search keeps the level sets of the full one, so every
+    # state's path word is as long as its distance from the representative
+    p = params(g, n, strict=(2 * g - 2) % n == 0)
+    for selector in (MOD, MOD_PM):
+        dist = None
+        for chunking, threads in itertools.product(
+                ({"chunk_size": 7}, {}), (1, 2)):
+            report = enumerate_orbits(p, selector, thread_count=threads,
+                                      record_paths=True, **chunking)
+            if dist is None:
+                dist = _bfs_distances(
+                    p, selector, [o.representative for o in report.orbits])
+            assert len(dist) == p.size
+            for idx in range(p.size):
+                x = decode(idx, p)
+                assert len(trace_path(report, x).word) == dist[x.coords], \
+                    (selector, chunking, threads, x)
+
+
+def _chain_clash(a, b, n):
+    """Do two positive generators fail to commute, by the chain?  A_i-B_i,
+    B_i-C_{i-1} and B_i-C_i, and s with every twist when n >= 3."""
+    if "s" in (a.kind, b.kind):
+        return a != b and n >= 3
+    kinds = {a.kind: a.index, b.kind: b.index}
+    if set(kinds) == {"A", "B"}:
+        return a.index == b.index
+    if set(kinds) == {"B", "C"}:
+        return kinds["B"] in (kinds["C"], kinds["C"] + 1)
+    return False
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_commutation_relation_is_the_chain(n):
+    for g in range(2, 8):
+        p = params(g, n, strict=False)
+        for selector in (MOD, MOD_PM):
+            gens = positive_generators(p, selector)
+            steps = [_local_action(gen, p)[1] for gen in gens]
+            maps = [generator_action(gen, p) for gen in gens]
+            for u, v in itertools.combinations(range(len(gens)), 2):
+                uv, vu = compose(maps[u], maps[v]), compose(maps[v], maps[u])
+                dense = (np.array_equal(uv.linear, vu.linear)
+                         and np.array_equal(uv.translation, vu.translation))
+                clash = _chain_clash(gens[u], gens[v], n)
+                assert _commute(steps[u], steps[v], n) == dense == (not clash), \
+                    (g, gens[u], gens[v])
+            _, reach = _image_kernel(gens, p)
+            for u, gen in enumerate(gens):
+                later = [v for v in range(u + 1, len(gens))
+                         if _chain_clash(gen, gens[v], n)]
+                # in this order the generators a state found by u is
+                # expanded by are exactly those before u, u itself and
+                # the later ones that fail to commute with u
+                assert later == list(range(u + 1, u + 1 + len(later)))
+                assert reach[u] == 1 + max(later, default=u)
+
+
+def test_genus_60_one_state_space_stays_small():
+    # 179 generators: the commutation check composes only pairs sharing a
+    # block, where a stack of all pairs of 120-dimensional products would
+    # take about 3.7 GB
+    tracemalloc.start()
+    try:
+        report = enumerate_orbits(params(60, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.orbit_count == 1 and report.orbits[0].size == 1
+    assert peak < 1 << 20
 
 
 def test_vanishing_constant_on_each_orbit_via_hook():
