@@ -13,9 +13,9 @@ import numpy as np
 
 from . import euler
 from .action import apply_word
-from .invariants import vanishing_number_array
+from .invariants import orbit_count_expected, vanishing_number_array
 from .normalize import macro_word
-from .orbits import enumerate_orbits
+from .orbits import MOD, enumerate_orbits
 from .space import SpaceParams, decode_array, make_element
 
 # states decoded per call while a vanishing table is built
@@ -33,6 +33,22 @@ def theorem_cases(max_states: float):
                 yield g, n
 
 
+class TheoremCheck(NamedTuple):
+    orbit_count: int  # found by the census under the mod generators
+    expected: int     # the theorem's count: 1 for odd n, 2 for even n
+    vanishing: list   # the orbits' vanishing numbers, sorted (even n only)
+
+
+def theorem_case(params: SpaceParams) -> TheoremCheck:
+    """Run the census of one space and set it beside the theorem."""
+    report = enumerate_orbits(params, MOD, record_paths=False)
+    vanishing = []
+    if params.n % 2 == 0:
+        vanishing = sorted(o.vanishing_number for o in report.orbits)
+    return TheoremCheck(report.orbit_count, orbit_count_expected(params),
+                       vanishing)
+
+
 def vanishing_table(params: SpaceParams) -> np.ndarray:
     """The vanishing number of every state, indexed by state, as uint8.
 
@@ -48,7 +64,7 @@ def vanishing_table(params: SpaceParams) -> np.ndarray:
     return table
 
 
-def vanishing_bounds(params: SpaceParams, selector, values, threads: int) -> dict:
+def vanishing_bounds(params: SpaceParams, selector, values) -> dict:
     """{orbit ordinal: (lo, hi)} of the vanishing numbers on each orbit.
 
     Runs the census with a batch hook; `values(batch)` gives the
@@ -66,8 +82,7 @@ def vanishing_bounds(params: SpaceParams, selector, values, threads: int) -> dic
             hi = max(hi, bounds[ordinal][1])
         bounds[ordinal] = (lo, hi)
 
-    enumerate_orbits(params, selector, thread_count=threads,
-                     record_paths=False, batch_hook=hook)
+    enumerate_orbits(params, selector, record_paths=False, batch_hook=hook)
     return bounds
 
 

@@ -17,7 +17,7 @@ import sys
 
 from . import checks, euler
 from .action import WordSyntaxError, apply_word, parse_word
-from .invariants import orbit_count_expected, vanishing_number
+from .invariants import vanishing_number
 from .normalize import normalize
 from .orbits import (
     BudgetConfigError, BudgetExceededError, GENERATOR_SETS, MOD, MOD_PM,
@@ -27,6 +27,8 @@ from .sl2 import generate_sl2, sl2_group_order
 from .space import SpaceParams, parse_element
 
 DEFAULT_SEED = 20250810
+THREADS_HELP = ("accepted for compatibility; "
+                "the census runs on the calling thread")
 
 
 class CliError(Exception):
@@ -221,14 +223,12 @@ class Checker:
 
 def suite_theorem(args, chk: Checker) -> None:
     for g, n in checks.theorem_cases(args.max_states):
-        params = SpaceParams(g, n)
-        report = enumerate_orbits(params, MOD, thread_count=args.threads,
-                                  record_paths=False)
-        chk.check(f"theorem g={g} n={n} orbit_count", report.orbit_count,
-                  orbit_count_expected(params))
+        case = checks.theorem_case(SpaceParams(g, n))
+        chk.check(f"theorem g={g} n={n} orbit_count", case.orbit_count,
+                  case.expected)
         if n % 2 == 0:
-            values = sorted(o.vanishing_number for o in report.orbits)
-            chk.check(f"theorem g={g} n={n} vanishing separates", values, [0, 1])
+            chk.check(f"theorem g={g} n={n} vanishing separates",
+                      case.vanishing, [0, 1])
 
 
 def suite_invariants(args, chk: Checker) -> None:
@@ -240,8 +240,7 @@ def suite_invariants(args, chk: Checker) -> None:
         params = SpaceParams(g, n)
         table = checks.vanishing_table(params)
         for selector in (MOD, MOD_PM):
-            bounds = checks.vanishing_bounds(params, selector, table.take,
-                                             args.threads)
+            bounds = checks.vanishing_bounds(params, selector, table.take)
             chk.check_true(
                 f"invariants g={g} n={n} {selector} vanishing constant per orbit",
                 all(lo == hi for lo, hi in bounds.values()))
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="enumerate all orbits exhaustively")
     add_space_flags(p)
     p.add_argument("--gens", choices=GENERATOR_SETS, default=MOD)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_orbits)
 
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=_genus, default=2, help="genus for cocycle checks")
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cocycle", help="sample cocycle values as JSON")

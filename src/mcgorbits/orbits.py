@@ -52,13 +52,12 @@ kept as parts keyed by the reach of the generator that found them, and
 chunks of `chunk_size` states are cut from them in descending reach,
 so row j of a chunk is its leading states whose reach exceeds j: a
 prefix, and a prefix slice of the shared block keys.  Parts are
-consumed as they are chunked; a level is never concatenated.  With
-thread_count k > 1, k - 1 pool workers compute the images of the chunks
-ahead and never read or write the visited set.  Orbit representatives
-are the minimal state indices, a total order independent of search
-order, and the partition, the batches passed to the hook and the parent
-links are identical for every thread count.  Parent links for path
-certificates are optional and off by default on large spaces.
+consumed as they are chunked; a level is never concatenated.  The whole
+census runs on the calling thread: with about 3.6 candidates per state
+a chunk's images cost too little to pay for handing them to a worker.
+Orbit representatives are the minimal state indices, a total order
+independent of search order.  Parent links for path certificates are
+optional and off by default on large spaces.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,8 +259,7 @@ def _image_kernel(gens, params: SpaceParams):
     increase.  The g block keys (and the g - 1 keys of adjacent block
     pairs) are computed once per chunk, each on the longest prefix a row
     reads, and shared by every generator, so an image is one gather per
-    term plus one add.  The kernel reads only the chunk and its own
-    tables: it is safe to run on worker threads.
+    term plus one add.
     """
     g, n = params.g, params.n
     n2 = n * n
@@ -355,25 +352,6 @@ def _joined(held: list, generator_count: int):
     return chunk, counts
 
 
-def _with_images(chunks, images, pool, ahead: int):
-    """(chunk, images(chunk, counts)) in chunk order.  With a pool, the
-    images of up to `ahead` further chunks are computed by its workers
-    meanwhile."""
-    if pool is None:
-        for chunk, counts in chunks:
-            yield chunk, images(chunk, counts)
-        return
-    pending = deque()
-    for chunk, counts in chunks:
-        pending.append((chunk, pool.submit(images, chunk, counts)))
-        if len(pending) > ahead:
-            chunk, future = pending.popleft()
-            yield chunk, future.result()
-    while pending:
-        chunk, future = pending.popleft()
-        yield chunk, future.result()
-
-
 @dataclass(frozen=True)
 class OrbitSummary:
     representative: GnElement
@@ -461,10 +439,13 @@ def enumerate_orbits(
     Each level is cut into chunks of `chunk_size` states, highest reach
     first; the images of a chunk share its block digit keys, and the
     calling thread checks and marks them generator by generator, one
-    bitmap test per candidate.  With `thread_count` > 1 the extra
-    threads only compute the images of the chunks ahead, so the result,
-    the hook calls and the parent links (positive words of BFS length
-    for `trace_path`) do not depend on `thread_count`.
+    bitmap test per candidate.  The parent links are positive words of
+    BFS length for `trace_path`.
+
+    The census runs on the calling thread alone.  `thread_count` must be
+    at least 1 and is echoed as `OrbitReport.thread_count` (the JSON
+    `threads` key), but it changes nothing: it is kept only so that
+    callers passing it, and the CLI's JSON schema, stay valid.
 
     `batch_hook(orbit_ordinal, index_array)` is invoked on every block of
     states as it is discovered (including the seed), which lets callers
@@ -477,6 +458,10 @@ def enumerate_orbits(
     are recorded only when the space has at most PATHS_AUTO_LIMIT states
     and they fit the budget.
     """
+    if thread_count < 1:
+        raise ValueError("thread_count must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     start = time.monotonic()
     size = params.size
     generators = positive_generators(params, gens)
@@ -493,10 +478,6 @@ def enumerate_orbits(
             f"visited bitmap needs {nbytes} bytes, delta tables need "
             f"{table_bytes} bytes{paths} for {size} states, "
             f"budget is {budget}; raise {BUDGET_ENV} to proceed")
-    if thread_count < 1:
-        raise ValueError("thread_count must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
 
     images, reach = _image_kernel(generators, params)
     visited = np.zeros(nbytes, dtype=np.uint8)
@@ -505,67 +486,59 @@ def enumerate_orbits(
         parent = np.full(size, -1, dtype=np.int64)
         parent_gen = np.full(size, -1, dtype=np.int16)
 
-    # the workers only compute images; the check and the mark of every
-    # candidate happen on this thread, chunk by chunk in generator order
-    pool = ThreadPoolExecutor(thread_count - 1) if thread_count > 1 else None
     summaries = []
     scan_byte = 0  # all bytes before this are 0xFF
-    try:
-        while True:
-            # find the next unvisited state: its index is the orbit minimum
-            while scan_byte < nbytes and visited[scan_byte] == 0xFF:
-                hit = np.nonzero(visited[scan_byte:] != 0xFF)[0]
-                if hit.size == 0:
-                    scan_byte = nbytes
-                    break
-                scan_byte += int(hit[0])
-            if scan_byte >= nbytes:
+    while True:
+        # find the next unvisited state: its index is the orbit minimum
+        while scan_byte < nbytes and visited[scan_byte] == 0xFF:
+            hit = np.nonzero(visited[scan_byte:] != 0xFF)[0]
+            if hit.size == 0:
+                scan_byte = nbytes
                 break
-            byte = int(visited[scan_byte])
-            bit = (~byte & (byte + 1)).bit_length() - 1  # lowest zero bit
-            seed = scan_byte * 8 + bit
-            if seed >= size:
-                break
+            scan_byte += int(hit[0])
+        if scan_byte >= nbytes:
+            break
+        byte = int(visited[scan_byte])
+        bit = (~byte & (byte + 1)).bit_length() - 1  # lowest zero bit
+        seed = scan_byte * 8 + bit
+        if seed >= size:
+            break
 
-            visited[scan_byte] |= 1 << bit
-            orbit_ordinal = len(summaries)
-            if batch_hook is not None:
-                batch_hook(orbit_ordinal, np.array([seed], dtype=np.int64))
-            orbit_size = 1
-            # a level is kept as parts keyed by the reach of the generator
-            # that found them; the seed is expanded by every generator
-            level = {len(generators): deque([np.array([seed], dtype=np.int64)])}
-            while level:
-                parts = {}
-                for chunk, candidates in _with_images(
-                        _chunks(level, chunk_size, len(generators)),
-                        images, pool, 2 * thread_count):
-                    for gen_id, nxt in enumerate(candidates):
-                        # a generator is a bijection and the level holds
-                        # distinct states, so nxt is duplicate-free; a
-                        # state an earlier generator or chunk reached is
-                        # already marked and fails this one check
-                        fresh = np.flatnonzero(
-                            visited.take(nxt >> 3) & _bit(nxt) == 0)
-                        if fresh.size == 0:
-                            continue
-                        nxt = nxt.take(fresh)
-                        np.bitwise_or.at(visited, nxt >> 3, _bit(nxt))
-                        if record_paths:
-                            parent[nxt] = chunk.take(fresh)
-                            parent_gen[nxt] = gen_id
-                        if batch_hook is not None:
-                            batch_hook(orbit_ordinal, nxt)
-                        parts.setdefault(reach[gen_id], deque()).append(nxt)
-                        orbit_size += nxt.size
-                level = parts
+        visited[scan_byte] |= 1 << bit
+        orbit_ordinal = len(summaries)
+        if batch_hook is not None:
+            batch_hook(orbit_ordinal, np.array([seed], dtype=np.int64))
+        orbit_size = 1
+        # a level is kept as parts keyed by the reach of the generator
+        # that found them; the seed is expanded by every generator
+        level = {len(generators): deque([np.array([seed], dtype=np.int64)])}
+        while level:
+            parts = {}
+            for chunk, counts in _chunks(level, chunk_size, len(generators)):
+                candidates = images(chunk, counts)
+                for gen_id, nxt in enumerate(candidates):
+                    # a generator is a bijection and the level holds
+                    # distinct states, so nxt is duplicate-free; a
+                    # state an earlier generator or chunk reached is
+                    # already marked and fails this one check
+                    fresh = np.flatnonzero(
+                        visited.take(nxt >> 3) & _bit(nxt) == 0)
+                    if fresh.size == 0:
+                        continue
+                    nxt = nxt.take(fresh)
+                    np.bitwise_or.at(visited, nxt >> 3, _bit(nxt))
+                    if record_paths:
+                        parent[nxt] = chunk.take(fresh)
+                        parent_gen[nxt] = gen_id
+                    if batch_hook is not None:
+                        batch_hook(orbit_ordinal, nxt)
+                    parts.setdefault(reach[gen_id], deque()).append(nxt)
+                    orbit_size += nxt.size
+            level = parts
 
-            rep = decode(seed, params)
-            v = vanishing_number(rep) if params.n % 2 == 0 else None
-            summaries.append(OrbitSummary(rep, orbit_size, v))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        rep = decode(seed, params)
+        v = vanishing_number(rep) if params.n % 2 == 0 else None
+        summaries.append(OrbitSummary(rep, orbit_size, v))
 
     total = sum(o.size for o in summaries)
     if total != size:

@@ -17,7 +17,7 @@ from mcgorbits.action import (
     Generator, MultiTwist, apply_word, generator_action, multi_twist_action,
 )
 from mcgorbits.checks import (
-    aprime_cocycle, cocycle_sample, macro_exact, vanishing_bounds,
+    aprime_cocycle, cocycle_sample, macro_exact, theorem_case, vanishing_bounds,
 )
 from mcgorbits.euler import (
     SamplingCapError, relator_euler_number, sample_cocycles, standard_group,
@@ -39,16 +39,17 @@ def _pass(number, message):
 def test_criterion_01_odd_index_single_orbit():
     counts = {}
     for g, n in ODD_CASES:
-        report = enumerate_orbits(SpaceParams(g, n), MOD, record_paths=False)
-        counts[(g, n)] = report.orbit_count
-        assert report.orbit_count == 1, f"(g={g}, n={n})"
+        case = theorem_case(SpaceParams(g, n))
+        counts[(g, n)] = case.orbit_count
+        assert case.orbit_count == case.expected == 1, f"(g={g}, n={n})"
     _pass(1, f"odd n gives a single orbit for {list(counts)}")
 
 
 def test_criterion_02_even_index_two_orbits():
     for g, n in EVEN_CASES:
-        report = enumerate_orbits(SpaceParams(g, n), MOD, record_paths=False)
-        assert report.orbit_count == 2, f"(g={g}, n={n})"
+        case = theorem_case(SpaceParams(g, n))
+        assert case.orbit_count == case.expected == 2, f"(g={g}, n={n})"
+        assert case.vanishing == [0, 1], f"(g={g}, n={n})"
     _pass(2, f"even n gives exactly two orbits for {list(EVEN_CASES)}")
 
 
@@ -71,7 +72,7 @@ def test_criterion_04_vanishing_number_constant_and_separating():
         for selector in (MOD, MOD_PM):
             bounds = vanishing_bounds(
                 p, selector,
-                lambda batch: vanishing_number_array(decode_array(batch, p)), 1)
+                lambda batch: vanishing_number_array(decode_array(batch, p)))
             assert len(bounds) == 2, (g, n, selector)  # one entry per orbit
             values = []
             for ordinal, (lo, hi) in bounds.items():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -171,6 +172,22 @@ def _check_determinism_across_thread_counts(p, selector, chunk_size):
 def test_more_threads_than_generators():
     p = params(2, 2)
     assert enumerate_orbits(p, thread_count=64).orbits == enumerate_orbits(p).orbits
+
+
+def test_census_starts_no_thread():
+    before = threading.active_count()
+    seen = []
+    enumerate_orbits(params(3, 4), thread_count=4,
+                     batch_hook=lambda ordinal, batch: seen.append(
+                         threading.active_count()))
+    assert seen and max(seen) <= before
+
+
+@pytest.mark.parametrize("argument", [{"thread_count": 0}, {"chunk_size": 0}])
+def test_arguments_are_checked_before_the_budget(argument):
+    # (13, 4) has 4^26 states, far over any budget
+    with pytest.raises(ValueError, match=next(iter(argument))):
+        enumerate_orbits(params(13, 4), **argument)
 
 
 def _reference_orbits(p, selector):
