@@ -45,19 +45,23 @@ search.  Partitions, orbit sizes and representatives are unchanged;
 hook batches and parent links depend on the order, and `trace_path`
 words stay positive words of BFS length that replay.
 
-The calling thread takes the generators of each chunk in order, tests
-each image against the visited set once and marks the fresh states at
-once, so a state reached twice is caught by that one test.  A level is
-kept as parts keyed by the reach of the generator that found them, and
-chunks of `chunk_size` states are cut from them in descending reach,
-so row j of a chunk is its leading states whose reach exceeds j: a
-prefix, and a prefix slice of the shared block keys.  Parts are
-consumed as they are chunked; a level is never concatenated.  The whole
-census runs on the calling thread: with about 3.6 candidates per state
-a chunk's images cost too little to pay for handing them to a worker.
-Orbit representatives are the minimal state indices, a total order
-independent of search order.  Parent links for path certificates are
-optional and off by default on large spaces.
+The calling thread takes the generators of each chunk in order and
+gathers each image's byte of the visited set once; that byte decides
+whether the state is fresh, so a state reached twice is caught by that
+one test.  The fresh states are marked by scattering the gathered byte
+OR their bit; where two of them share a byte only one write lands, so
+the bytes are read again and the lost bits written again, in at most 8
+passes (`_mark`).  A level is kept as parts keyed by the reach of the
+generator that found them, and chunks of `chunk_size` states are cut
+from them in descending reach, so row j of a chunk is its leading
+states whose reach exceeds j: a prefix, and a prefix slice of the
+shared block keys.  Parts are consumed as they are chunked; a level is
+never concatenated.  The whole census runs on the calling thread: with
+about 3.6 candidates per state a chunk's images cost too little to pay
+for handing them to a worker.  Orbit representatives are the minimal
+state indices, a total order independent of search order.  Parent
+links for path certificates are optional and off by default on large
+spaces.
 """
 
 from __future__ import annotations
@@ -94,6 +98,43 @@ _ONE, _SEVEN = np.uint8(1), np.uint8(7)
 def _bit(idx: np.ndarray) -> np.ndarray:
     """The mask of each state's bit within its byte of the visited set."""
     return np.left_shift(_ONE, idx.astype(np.uint8) & _SEVEN)
+
+
+MARK_PASS_LIMIT = 8  # a byte holds 8 states
+
+
+def _mark(visited: np.ndarray, idx: np.ndarray):
+    """(fresh, passes): set the visited bits of the distinct states `idx`
+    and return the positions in `idx` of those that were unmarked, with
+    the number of scatter passes it took.
+
+    Each state's byte is gathered once; the fresh test reads it, and the
+    fresh states are written back as that byte OR their bit by one fancy
+    assignment.  Where several fresh states share a byte only one write
+    lands, so their bytes are read again and the states whose bit was
+    lost are written again.  Every value written is a byte as gathered
+    in the same pass OR one pending bit, so no set bit is ever cleared,
+    and each pass sets exactly one pending bit of every byte that has
+    any: it takes as many passes as the most fresh states one byte
+    holds, never more than MARK_PASS_LIMIT.  Which states are fresh is
+    decided by the first gather alone.
+    """
+    byte = idx >> 3
+    bit = _bit(idx)
+    held = visited.take(byte)
+    fresh = np.flatnonzero(held & bit == 0)
+    if fresh.size == 0:
+        return fresh, 0
+    byte, bit, held = byte.take(fresh), bit.take(fresh), held.take(fresh)
+    for passes in range(1, MARK_PASS_LIMIT + 1):
+        visited[byte] = held | bit
+        held = visited.take(byte)
+        lost = np.flatnonzero(held & bit == 0)
+        if lost.size == 0:
+            return fresh, passes
+        byte, bit, held = byte.take(lost), bit.take(lost), held.take(lost)
+    raise AssertionError(
+        f"{lost.size} visited bits still unset after {MARK_PASS_LIMIT} passes")
 
 
 class BudgetExceededError(MemoryError):
@@ -438,9 +479,11 @@ def enumerate_orbits(
     stay exactly those of the full search (see the module docstring).
     Each level is cut into chunks of `chunk_size` states, highest reach
     first; the images of a chunk share its block digit keys, and the
-    calling thread checks and marks them generator by generator, one
-    bitmap test per candidate.  The parent links are positive words of
-    BFS length for `trace_path`.
+    calling thread checks and marks them generator by generator: one
+    gather of the visited bitmap per candidate decides which are fresh,
+    and a scatter of those bytes, re-checked for bits lost where fresh
+    states share a byte, marks them (`_mark`).  The parent links are
+    positive words of BFS length for `trace_path`.
 
     The census runs on the calling thread alone.  `thread_count` must be
     at least 1 and is echoed as `OrbitReport.thread_count` (the JSON
@@ -520,13 +563,11 @@ def enumerate_orbits(
                     # a generator is a bijection and the level holds
                     # distinct states, so nxt is duplicate-free; a
                     # state an earlier generator or chunk reached is
-                    # already marked and fails this one check
-                    fresh = np.flatnonzero(
-                        visited.take(nxt >> 3) & _bit(nxt) == 0)
+                    # already marked and fails the fresh test
+                    fresh, _ = _mark(visited, nxt)
                     if fresh.size == 0:
                         continue
                     nxt = nxt.take(fresh)
-                    np.bitwise_or.at(visited, nxt >> 3, _bit(nxt))
                     if record_paths:
                         parent[nxt] = chunk.take(fresh)
                         parent_gen[nxt] = gen_id

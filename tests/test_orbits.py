@@ -8,13 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mcgorbits import orbits
 from mcgorbits.action import Generator, apply_word, generator_action, replay_tokens
 from mcgorbits.invariants import vanishing_number, vanishing_number_array
 from mcgorbits.normalize import Certificate, normalize
 from mcgorbits.orbits import (
-    BudgetConfigError, BudgetExceededError, MOD, MOD_PM, OrbitMismatchError,
-    PathsUnavailableError, _commute, _image_kernel, _local_action,
-    delta_table_bytes, enumerate_orbits, positive_generators, trace_path,
+    MARK_PASS_LIMIT, BudgetConfigError, BudgetExceededError, MOD, MOD_PM,
+    OrbitMismatchError, PathsUnavailableError, _commute, _image_kernel,
+    _local_action, _mark, delta_table_bytes, enumerate_orbits,
+    positive_generators, trace_path,
 )
 from mcgorbits.space import (
     SpaceParams, compose, decode, decode_array, encode, make_element,
@@ -181,6 +183,90 @@ def test_census_starts_no_thread():
                      batch_hook=lambda ordinal, batch: seen.append(
                          threading.active_count()))
     assert seen and max(seen) <= before
+
+
+def _reference_mark(visited, idx):
+    """`orbits._mark` by one unbuffered np.bitwise_or.at, in one pass."""
+    bit = np.left_shift(1, idx & 7).astype(np.uint8)
+    fresh = np.flatnonzero(visited[idx >> 3] & bit == 0)
+    np.bitwise_or.at(visited, idx[fresh] >> 3, bit[fresh])
+    return fresh, 1
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_mark_matches_bitwise_or_at(seed):
+    rng = np.random.default_rng(seed)
+    nbytes = 64
+    # every state of byte 5, 2-7 states of byte 9, and scattered states
+    # in the other bytes; some of each are already marked
+    crowded = 8 * 9 + rng.choice(8, size=rng.integers(2, 8), replace=False)
+    others = np.setdiff1d(np.arange(8 * nbytes), np.arange(8 * 5, 8 * 10))
+    idx = np.concatenate([np.arange(8 * 5, 8 * 6), crowded,
+                          rng.choice(others, size=60, replace=False)])
+    idx = rng.permutation(idx).astype(np.int64)
+    visited = (rng.integers(0, 256, nbytes) & rng.integers(0, 256, nbytes)
+               ).astype(np.uint8)
+    visited[5] = 0 if seed % 2 else 1 << rng.integers(8)
+    visited[9] &= ~np.uint8(np.bitwise_or.reduce(1 << (crowded & 7)))
+    was_set = (visited[idx >> 3] >> (idx & 7)) & 1 == 1
+    expected = visited.copy()
+    np.bitwise_or.at(expected, idx >> 3, np.left_shift(1, idx & 7).astype(np.uint8))
+
+    fresh, passes = _mark(visited, idx)
+    assert np.array_equal(fresh, np.flatnonzero(~was_set))
+    assert np.array_equal(visited, expected)
+    # a pass sets one pending bit of each byte, so it takes as many
+    # passes as the most fresh states one byte holds
+    pending = np.bincount(idx[fresh] >> 3, minlength=nbytes)
+    assert passes == pending.max() <= MARK_PASS_LIMIT
+    assert passes == (8 if seed % 2 else 7)
+
+
+def test_mark_of_marked_states_writes_nothing():
+    visited = np.array([0xFF, 0x0F], dtype=np.uint8)
+    fresh, passes = _mark(visited, np.arange(12, dtype=np.int64))
+    assert fresh.size == 0 and passes == 0
+    assert visited.tolist() == [0xFF, 0x0F]
+
+
+def _recorded_run(p, selector, chunking):
+    """(to_dict() without elapsed_ms, batch_hook calls, parent, parent_gen)."""
+    calls = []
+    report = enumerate_orbits(
+        p, selector, record_paths=True,
+        batch_hook=lambda ordinal, batch: calls.append((ordinal, batch.tolist())),
+        **chunking)
+    data = report.to_dict()
+    del data["elapsed_ms"]
+    return data, calls, report.forest.parent, report.forest.parent_gen
+
+
+@pytest.mark.parametrize("selector", [MOD, MOD_PM])
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 2), (3, 4)])
+def test_small_chunks_mark_as_bitwise_or_at(g, n, selector, monkeypatch):
+    # small chunks are where fresh states of one row most often share a
+    # byte; each chunk size must give the run a one-pass bitwise_or.at
+    # marking gives, and every chunk size the same report
+    p = params(g, n)
+    chunkings = ({"chunk_size": 1}, {"chunk_size": 8}, {})
+    passes = []
+
+    def counted_mark(visited, idx):
+        fresh, count = _mark(visited, idx)
+        passes.append(count)
+        return fresh, count
+
+    monkeypatch.setattr(orbits, "_mark", counted_mark)
+    runs = [_recorded_run(p, selector, chunking) for chunking in chunkings]
+    if n > 2:  # at n = 2 no row here holds two fresh states of one byte
+        assert max(passes) > 1  # some bit was lost and written again
+    monkeypatch.setattr(orbits, "_mark", _reference_mark)
+    for chunking, run in zip(chunkings, runs):
+        data, calls, parent, parent_gen = _recorded_run(p, selector, chunking)
+        assert run[0] == data and run[1] == calls, chunking
+        assert np.array_equal(run[2], parent), chunking
+        assert np.array_equal(run[3], parent_gen), chunking
+    assert runs[0][0] == runs[1][0] == runs[2][0]
 
 
 @pytest.mark.parametrize("argument", [{"thread_count": 0}, {"chunk_size": 0}])
