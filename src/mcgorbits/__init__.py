@@ -14,11 +14,10 @@ from .space import (
     parse_element, zero_element,
 )
 from .action import (
-    Generator, GeneratorWord, MultiTwist, WordSyntaxError, apply_word,
-    format_word, generator_action, multi_twist_action, parse_word,
-    word_action,
+    Generator, GeneratorWord, WordSyntaxError, apply_word, format_word,
+    generator_action, parse_word, word_action,
 )
-from .sl2 import BlockWord, clear_alpha, generate_sl2, sl2_group_order, solve_pair
+from .sl2 import clear_alpha, generate_sl2, sl2_group_order, solve_pair
 from .invariants import beta_sum, block_content, vanishing_number
 from .normalize import CanonicalForm, Certificate, normalize, same_orbit
 from .orbits import GeneratorSet, OrbitReport, enumerate_orbits, trace_path

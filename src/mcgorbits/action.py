@@ -18,6 +18,11 @@ A, B and the linear part of C are transvection-like (L = 1 + N with
 N^2 = 0 and N tau = 0), so integer powers have the same shape with every
 increment scaled by the exponent; that keeps words like C^(k) exact and
 cheap for any k.
+
+The formulas are written once, as the scalar code of `replay_tokens`.
+`generator_action` reads a token's affine map off it by replaying the
+token on 0 and on the unit vectors; the orbit engine's delta tables and
+the SL(2) letters of `sl2` read `generator_action` in turn.
 """
 
 from __future__ import annotations
@@ -110,58 +115,21 @@ class GeneratorWord:
 EMPTY_WORD = GeneratorWord(())
 
 
-@dataclass(frozen=True)
-class MultiTwist:
-    """Joint twist C_1^(k_1) ... C_{g-1}^(k_{g-1}); the C_i commute."""
-
-    exponents: tuple
-
-    def to_word(self) -> GeneratorWord:
-        return GeneratorWord(tuple([
-            make_token("C", i + 1, k) for i, k in enumerate(self.exponents) if k != 0]))
-
-
 def _index_error(kind: str, index: int, g: int) -> ValueError:
     top = g if kind in ("A", "B") else g - 1
     return ValueError(f"{kind}{index} out of range for genus {g} (max {top})")
 
 
-def _check_index(gen: Generator, params: SpaceParams):
-    top = params.g if gen.kind in ("A", "B") else params.g - 1
-    if not 1 <= gen.index <= top:
-        raise _index_error(gen.kind, gen.index, params.g)
-
-
 def generator_action(gen: Generator, params: SpaceParams) -> AffineMap:
-    """Affine map of a single token, exponent included."""
-    g, n = params.g, params.n
-    lin = np.eye(2 * g, dtype=np.int64)
-    tra = np.zeros(2 * g, dtype=np.int64)
-    k = gen.exponent
-    if gen.kind == "s":
-        for j in range(g):
-            lin[2 * j, 2 * j] = -1
-    elif gen.kind == "D":
-        _check_index(gen, params)
-    elif gen.kind == "A":
-        _check_index(gen, params)
-        a, b = 2 * gen.index - 2, 2 * gen.index - 1
-        lin[b, a] = -k
-    elif gen.kind == "B":
-        _check_index(gen, params)
-        a, b = 2 * gen.index - 2, 2 * gen.index - 1
-        lin[a, b] = k
-    else:  # C
-        _check_index(gen, params)
-        a1, b1 = 2 * gen.index - 2, 2 * gen.index - 1
-        a2, b2 = 2 * gen.index, 2 * gen.index + 1
-        lin[b1, a1] = -k
-        lin[b1, a2] = k
-        lin[b2, a1] = k
-        lin[b2, a2] = -k
-        tra[b1] = k
-        tra[b2] = -k
-    return AffineMap(n, lin, tra)
+    """Affine map of a single token, exponent included, read off
+    `replay_tokens`: the translation is the image of 0, and column j of
+    the linear part is the image of e_j minus it."""
+    g = params.g
+    rows = [[0] * (2 * g)] + np.eye(2 * g, dtype=np.int64).tolist()
+    for coords in rows:
+        replay_tokens((gen,), coords, params.n, g)
+    images = np.array(rows, dtype=np.int64)
+    return AffineMap(params.n, (images[1:] - images[0]).T, images[0])
 
 
 def word_action(word: GeneratorWord, params: SpaceParams) -> AffineMap:
@@ -172,22 +140,15 @@ def word_action(word: GeneratorWord, params: SpaceParams) -> AffineMap:
     return acc
 
 
-def multi_twist_action(k: MultiTwist, params: SpaceParams) -> AffineMap:
-    """Affine map of C_1^(k_1) ... C_{g-1}^(k_{g-1}), composed from its word."""
-    g, count = params.g, len(k.exponents)
-    if count != g - 1:
-        raise ValueError(f"expected {g - 1} exponents for genus {g}, got {count}")
-    return word_action(k.to_word(), params)
-
-
 def replay_tokens(tokens, coords: list, n: int, g: int) -> None:
     """Apply tokens to a coordinate list in place, first token first.
 
-    This is the only place the A/B/C/s/D formulas are written as scalar
-    code; `apply_word`, `sl2.BlockWord.apply` and the normalizer's
-    replays all run through it.  The index check is fused in: a token
-    whose index does not exist in genus g raises ValueError before it is
-    applied (the tokens before it stay applied).
+    This is the one statement of the A/B/C/s/D formulas:
+    `generator_action` reads its affine map off it, and `apply_word`,
+    `sl2.on_pair` and the normalizer's replays all run through it.  The
+    index check is fused in: a token whose index does not exist in genus
+    g raises ValueError before it is applied (the tokens before it stay
+    applied).
     """
     for token in tokens:
         kind, i, k = token.kind, token.index, token.exponent

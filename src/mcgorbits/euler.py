@@ -362,13 +362,21 @@ def _relator_cocycles(group: FuchsianGroup) -> list:
     letters = group.relator_letters()
     prefix = group.evaluate(letters[:1])
     values = []
-    for name, exp in letters[1:]:
+    for name, exp in letters[1:-1]:
         step = group.generator(name, exp)
         values.append(lift_cocycle(prefix, step, group.tolerance)[0])
         prefix = _normalized(prefix @ step)
-    if not _is_projective_identity(prefix, group.tolerance):
+    step = group.generator(*letters[-1])
+    if not _is_projective_identity(prefix @ step, group.tolerance):
         raise ConstructionError("relator does not multiply to the identity")
-    return values
+    # the closing product is the identity at the group's tolerance, so its
+    # lift is the identity of the line, not a lift of a near-parabolic map
+    f1, f2 = LiftedCircleMap(prefix), LiftedCircleMap(step)
+    samples = [(t - f1(f2(t))) / PI for t in SAMPLE_ANGLES]
+    closing = {round(v) for v in samples}
+    if len(closing) != 1 or max(abs(v - round(v)) for v in samples) > group.tolerance:
+        raise IllConditionedError(f"closing cocycle samples disagree: {samples}")
+    return values + [closing.pop()]
 
 
 def relator_euler_number(group: FuchsianGroup) -> int:
@@ -453,8 +461,8 @@ def standard_group(genus: int) -> FuchsianGroup:
     Verifies the relator within the group's tolerance, checks that all
     reduced words of up to 3 letters are hyperbolic, and flips the
     orientation if needed so that the relator Euler number is +(2g - 2).
-    Raises ConstructionError when a check fails or a relator prefix is
-    too close to parabolic to lift (genus 12, most genera from 15 on).
+    Raises ConstructionError when a check fails, as the relator residual
+    check does at most genera from 45 on.
     """
     if genus < 2:
         raise ValueError(f"genus must be >= 2, got {genus}")

@@ -51,7 +51,7 @@ from .action import (
     EMPTY_WORD, GeneratorWord, _push, apply_word, make_token, replay_tokens,
     simplify_word,
 )
-from .sl2 import clear_alpha
+from .sl2 import clear_alpha, on_block
 from .space import GnElement, SpaceParams
 
 
@@ -89,7 +89,7 @@ def _block_step(a: int, b: int, block: int, n: int) -> tuple:
     The pair is found by replaying the tokens through the scalar kernel
     when the entry is filled, so a hit applies none of them again.
     """
-    word_tokens = clear_alpha((a, b), n).on_block(block).tokens
+    word_tokens = on_block(clear_alpha((a, b), n), block).tokens
     coords = [0] * (2 * block - 2) + [a, b]
     replay_tokens(word_tokens, coords, n, block)
     return word_tokens, (coords[-2], coords[-1])

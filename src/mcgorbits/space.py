@@ -65,13 +65,6 @@ class GnElement:
             raise DimensionError(
                 f"expected {self.params.dim} coordinates, got {len(self.coords)}")
 
-    def alpha(self, i: int) -> int:
-        """alpha_i, 1-based block index."""
-        return self.coords[2 * i - 2]
-
-    def beta(self, i: int) -> int:
-        return self.coords[2 * i - 1]
-
     def block(self, i: int) -> tuple:
         """(alpha_i, beta_i), 1-based."""
         return self.coords[2 * i - 2], self.coords[2 * i - 1]

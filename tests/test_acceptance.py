@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mcgorbits.action import (
-    Generator, MultiTwist, apply_word, generator_action, multi_twist_action,
+    Generator, GeneratorWord, apply_word, generator_action, make_token, word_action,
 )
 from mcgorbits.checks import (
     aprime_cocycle, cocycle_sample, macro_exact, theorem_case, vanishing_bounds,
@@ -128,7 +128,8 @@ def test_criterion_07_beta_sum_invariance():
         beta_mask[1::2] = 1
         original = states @ beta_mask % n
         for ks in itertools.product((-2, -1, 0, 1, 2), repeat=g - 1):
-            m = multi_twist_action(MultiTwist(ks), p)
+            m = word_action(GeneratorWord(tuple(
+                make_token("C", i + 1, k) for i, k in enumerate(ks) if k)), p)
             # beta-sum of the image, evaluated for every state
             w = beta_mask @ m.linear % n
             t = int(beta_mask @ m.translation % n)

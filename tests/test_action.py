@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcgorbits.action import (
-    EMPTY_WORD, Generator, GeneratorWord, MultiTwist, WordSyntaxError,
-    apply_word, format_word, generator_action, make_token,
-    multi_twist_action, parse_word, replay_tokens, word_action,
+    EMPTY_WORD, Generator, GeneratorWord, WordSyntaxError, apply_word,
+    format_word, generator_action, make_token, parse_word, replay_tokens,
+    word_action,
 )
 from mcgorbits.space import (
     AffineMap, SpaceParams, apply_affine, linear_translation_split,
@@ -23,6 +23,55 @@ def params(g, n):
 
 
 # --- single generators ------------------------------------------------------
+
+def reference_action(gen, p):
+    """The twist formulas of the `action` docstring as hand-written
+    matrices, independent of `replay_tokens`, with the index check."""
+    g, k = p.g, gen.exponent
+    lin = np.eye(2 * g, dtype=np.int64)
+    tra = np.zeros(2 * g, dtype=np.int64)
+    if gen.kind == "s":
+        for j in range(g):
+            lin[2 * j, 2 * j] = -1
+        return AffineMap(p.n, lin, tra)
+    top = g if gen.kind in ("A", "B") else g - 1
+    if not 1 <= gen.index <= top:
+        raise ValueError(f"{gen.kind}{gen.index} out of range for genus {g} (max {top})")
+    a, b = 2 * gen.index - 2, 2 * gen.index - 1
+    if gen.kind == "A":
+        lin[b, a] = -k
+    elif gen.kind == "B":
+        lin[a, b] = k
+    elif gen.kind == "C":
+        a2, b2 = a + 2, b + 2
+        lin[b, a] = -k
+        lin[b, a2] = k
+        lin[b2, a] = k
+        lin[b2, a2] = -k
+        tra[b] = k
+        tra[b2] = -k
+    return AffineMap(p.n, lin, tra)
+
+
+def test_generator_action_matches_reference():
+    # every kind, every index (one past the top too) and the exponents
+    # +-1, +-2, +-3 and 7, including the out-of-range error text
+    for g in range(2, 6):
+        tokens = [Generator("s")] + [
+            Generator(kind, i, k) for kind in "ABCD" for i in range(1, g + 2)
+            for k in (1, -1, 2, -2, 3, -3, 7)]
+        for n in range(1, 14):
+            p = params(g, n)
+            for token in tokens:
+                try:
+                    expected = reference_action(token, p)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as err:
+                        generator_action(token, p)
+                    assert str(err.value) == str(exc), (g, n, str(token))
+                else:
+                    assert generator_action(token, p) == expected, (g, n, str(token))
+
 
 def test_c_twist_on_zero():
     p = params(2, 2)
@@ -252,16 +301,21 @@ def test_c_twists_commute():
 
 # --- multi-twists -----------------------------------------------------------
 
+def multi_twist(ks):
+    """The word C_1^(k_1) ... C_{g-1}^(k_{g-1}); the C_i commute."""
+    return GeneratorWord(tuple(make_token("C", i + 1, k) for i, k in enumerate(ks) if k))
+
+
 def test_multi_twist_trivial_and_single():
     p = params(2, 5)
-    assert multi_twist_action(MultiTwist((0,)), p).is_identity()
-    assert multi_twist_action(MultiTwist((1,)), p) == \
+    assert word_action(multi_twist((0,)), p).is_identity()
+    assert word_action(multi_twist((1,)), p) == \
         generator_action(Generator("C", 1), p)
 
 
 def test_multi_twist_example_g3():
     p = params(3, 5)
-    m = multi_twist_action(MultiTwist((1, 1)), p)
+    m = word_action(multi_twist((1, 1)), p)
     assert apply_affine(m, zero_element(p)).coords == (0, 1, 0, 0, 0, 4)
 
 
@@ -291,14 +345,8 @@ def test_multi_twist_matches_word_exhaustive():
     for g, n in ((3, 3), (4, 6)):
         p = params(g, n)
         for ks in itertools.product(range(-2, 3), repeat=g - 1):
-            mt = multi_twist_action(MultiTwist(ks), p)
+            mt = word_action(multi_twist(ks), p)
             assert mt == closed_form_multi_twist(ks, p), (g, n, ks)
-
-
-def test_multi_twist_wrong_length():
-    p = params(3, 2)
-    with pytest.raises(ValueError):
-        multi_twist_action(MultiTwist((1,)), p)
 
 
 # --- parsing and formatting -------------------------------------------------

@@ -271,10 +271,11 @@ def test_verify_cocycle_sampling_is_capped(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [("cocycle",), ("verify", "--suite", "cocycle")])
 def test_unrealizable_genus_is_a_clean_error(capsys, command):
-    # the genus-12 relator has a prefix too close to parabolic to lift
-    code, out, err = run(capsys, *command, "--genus", "12")
+    # the genus-45 relator residual (about 1.04e-6) exceeds the 1e-6 tolerance
+    code, out, err = run(capsys, *command, "--genus", "45")
     assert code == 2 and out == ""
-    assert err.startswith("error: genus 12 cannot be realized: ")
+    assert err.startswith("error: relator residual ")
+    assert err.endswith(" exceeds tolerance 1e-06\n")
     assert err.count("\n") == 1
 
 

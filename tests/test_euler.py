@@ -185,6 +185,12 @@ def test_relator_euler_number(g2, g3):
     assert relator_euler_number(g3) == 4
 
 
+def test_relator_closing_product_is_judged_at_group_tolerance():
+    # the genus-12 relator closes to within about 1.4e-9: the identity at
+    # the group's 1e-6, though a lift at 1e-9 would read it as parabolic
+    assert relator_euler_number(standard_group(12)) == 22
+
+
 def test_orientation_reversal_negates(g2):
     flipped = _reflect(g2)
     assert relator_euler_number(flipped) == -2

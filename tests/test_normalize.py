@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcgorbits.action import (
-    EMPTY_WORD, GeneratorWord, MultiTwist, apply_word, simplify_word, word_action,
+    EMPTY_WORD, GeneratorWord, apply_word, make_token, simplify_word, word_action,
 )
 from mcgorbits.invariants import vanishing_number
 from mcgorbits.normalize import (
     _block_step, _shift_word, _tail, macro_word, normalize, same_orbit,
 )
-from mcgorbits.sl2 import _pair_bfs, clear_alpha
+from mcgorbits.sl2 import _pair_bfs, clear_alpha, on_block, on_pair
 from mcgorbits.space import (
     SpaceParams, apply_affine, decode, make_element, zero_element,
 )
@@ -167,15 +167,15 @@ def test_certificates_match_recorded_digest():
 
 def test_block_step_matches_block_word_replay():
     # a memoized entry equals the block word's tokens and the pair its own
-    # letter arithmetic (BlockWord.apply) sends (a, b) to
+    # replay on a pair (sl2.on_pair) sends (a, b) to
     for n in range(2, 13):
         for block in (1, 3):
             for a in range(n):
                 for b in range(n):
                     tokens, pair = _block_step(a, b, block, n)
                     word = clear_alpha((a, b), n)
-                    assert tokens == word.on_block(block).tokens
-                    assert pair == word.apply((a, b), n)
+                    assert tokens == on_block(word, block).tokens
+                    assert pair == on_pair(word, (a, b), n)
                     assert pair[0] == 0 or a == 0
 
 
@@ -217,14 +217,15 @@ def test_stray_alpha_raises(monkeypatch, fresh_tail):
 def _reference_word(x):
     """The three stages concatenated from public pieces, then simplified."""
     g, n = x.params.g, x.params.n
-    words = [clear_alpha(x.block(i), n).on_block(i) for i in range(1, g + 1)]
+    words = [on_block(clear_alpha(x.block(i), n), i) for i in range(1, g + 1)]
     coords = apply_word(GeneratorWord(sum((w.tokens for w in words), ())), x).coords
     acc, exponents = 0, []
     for i in range(g - 1):
         acc = (acc + coords[2 * i + 1]) % n
         k = (-acc) % n
         exponents.append(k - n if k > n // 2 else k)
-    words.append(MultiTwist(tuple(exponents)).to_word())
+    words.append(GeneratorWord(tuple(
+        make_token("C", i + 1, k) for i, k in enumerate(exponents) if k)))
     word = GeneratorWord(sum((w.tokens for w in words), ()))
     beta = apply_word(word, x).coords[-1]
     target = 0 if n % 2 else beta % 2
@@ -271,7 +272,6 @@ def test_large_n_builds_no_pair_tables():
 def test_beta_concentration_telescopes():
     # with all alphas zero, the multi-twist with k_i = -(b_1+...+b_i)
     # clears every beta except the last, which becomes the beta sum
-    from mcgorbits.action import MultiTwist, multi_twist_action
     from mcgorbits.space import apply_affine
     rng = random.Random(3)
     for g, n in ((2, 5), (3, 4), (4, 6)):
@@ -285,7 +285,9 @@ def test_beta_concentration_telescopes():
             for i in range(g - 1):
                 acc = (acc + betas[i]) % n
                 ks.append((-acc) % n)
-            y = apply_affine(multi_twist_action(MultiTwist(tuple(ks)), p), x)
+            twist = GeneratorWord(tuple(
+                make_token("C", i + 1, k) for i, k in enumerate(ks) if k))
+            y = apply_affine(word_action(twist, p), x)
             expected = [0] * (2 * g)
             expected[-1] = sum(betas) % n
             assert y == make_element(p, expected)

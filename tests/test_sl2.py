@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from mcgorbits.sl2 import (
-    _LETTER_KIND, SOLVE_PAIR_MAX_N, BlockWord, _pair_bfs, clear_alpha, generate_sl2,
-    pair_content, sl2_group_order, solve_pair,
+    SOLVE_PAIR_MAX_N, _pair_bfs, clear_alpha, generate_sl2, on_block, on_pair,
+    sl2_group_order, solve_pair,
 )
-from mcgorbits.action import parse_word
+from mcgorbits.action import GeneratorWord, make_token, parse_word
 from mcgorbits.space import SpaceParams, apply_affine, make_element
 from mcgorbits.action import word_action
 
@@ -19,7 +19,12 @@ from mcgorbits.action import word_action
 def block_matrix(word, n):
     """A block word's 2x2 matrix, read from its action on block 1."""
     params = SpaceParams(2, n, strict_euler=False)
-    return word_action(word.on_block(1), params).linear[:2, :2]
+    return word_action(word, params).linear[:2, :2]
+
+
+def content(pair, n):
+    """gcd(a, b, n), the block invariant of the A/B action."""
+    return math.gcd(math.gcd(pair[0] % n, pair[1] % n), n)
 
 
 def brute_force_sl2_count(n):
@@ -53,8 +58,8 @@ def test_generate_sl2_witness_words():
         # the witness of its parent by one letter
         lengths = [len(word) for word in words.values()]
         assert lengths == sorted(lengths)
-        by_codes = {word.codes for word in words.values()}
-        assert all(word.codes[:-1] in by_codes for word in words.values() if word)
+        by_tokens = {word.tokens for word in words.values()}
+        assert all(word.tokens[:-1] in by_tokens for word in words.values() if word)
 
 
 def test_order_formula_matches_brute_force():
@@ -70,14 +75,14 @@ def test_generate_sl2_cap():
 def test_clear_alpha_examples():
     assert len(clear_alpha((0, 5), 7)) == 0
     # the explicit B A B route sends (1,0) to (0,4) mod 5 [(a,b) -> (b,-a)]
-    bab = BlockWord((2, 0, 2))
+    bab = parse_word("B1 A1 B1")
     assert np.array_equal(block_matrix(bab, 5), np.array([[0, 1], [4, 0]]))
-    assert bab.apply((1, 0), 5) == (0, 4)
+    assert on_pair(bab, (1, 0), 5) == (0, 4)
     # the solver may return any word landing on (0, *)
     w = clear_alpha((1, 0), 5)
-    assert w.apply((1, 0), 5)[0] == 0
+    assert on_pair(w, (1, 0), 5)[0] == 0
     w = clear_alpha((2, 2), 4)
-    assert w.apply((2, 2), 4) == (0, 2)
+    assert on_pair(w, (2, 2), 4) == (0, 2)
 
 
 def test_clear_alpha_preserves_content():
@@ -85,9 +90,9 @@ def test_clear_alpha_preserves_content():
     for _ in range(80):
         n = rng.randrange(1, 13)
         pair = (rng.randrange(n), rng.randrange(n))
-        image = clear_alpha(pair, n).apply(pair, n)
+        image = on_pair(clear_alpha(pair, n), pair, n)
         assert image[0] == 0
-        assert pair_content(image, n) == pair_content(pair, n)
+        assert content(image, n) == content(pair, n)
 
 
 def test_solve_pair_identity_and_examples():
@@ -97,7 +102,7 @@ def test_solve_pair_identity_and_examples():
         for b in range(n):
             w = solve_pair((0, (b - 1) % n), ((b - 1) % n, 0), n)
             assert w is not None
-            assert w.apply((0, (b - 1) % n), n) == ((b - 1) % n, 0)
+            assert on_pair(w, (0, (b - 1) % n), n) == ((b - 1) % n, 0)
     assert solve_pair((1, 0), (2, 0), 4) is None
 
 
@@ -115,11 +120,11 @@ def test_solve_pair_iff_content_matches():
     for n in (2, 3, 4, 6, 12):
         pairs = [(a, b) for a in range(n) for b in range(n)]
         for u in pairs:
-            cu = pair_content(u, n)
+            cu = content(u, n)
             for v in pairs:
                 w = solve_pair(u, v, n)
-                if cu == pair_content(v, n):
-                    assert w is not None and w.apply(u, n) == v
+                if cu == content(v, n):
+                    assert w is not None and on_pair(w, u, n) == v
                 else:
                     assert w is None
 
@@ -131,19 +136,19 @@ def test_block_word_translation_touches_only_its_block():
         pair = (rng.randrange(6), rng.randrange(6))
         target = clear_alpha(pair, 6)
         block = rng.randrange(1, 4)
-        word = target.on_block(block)
+        word = on_block(target, block)
         coords = [rng.randrange(6) for _ in range(6)]
         coords[2 * block - 2], coords[2 * block - 1] = pair
         x = make_element(p, coords)
         y = apply_affine(word_action(word, p), x)
-        assert y.block(block) == target.apply(pair, 6)
+        assert y.block(block) == on_pair(target, pair, 6)
         for other in range(1, 4):
             if other != block:
                 assert y.block(other) == x.block(other)
 
 
 def test_block_word_round_trips_through_word_grammar():
-    w = clear_alpha((1, 1), 5).on_block(2)
+    w = on_block(clear_alpha((1, 1), 5), 2)
     from mcgorbits.action import format_word
     assert parse_word(format_word(w)) == w
 
@@ -156,37 +161,39 @@ def test_clear_alpha_agrees_with_bfs_oracle():
         for a in range(n):
             for b in range(n):
                 word = clear_alpha((a, b), n)
-                image = word.apply((a, b), n)
+                image = on_pair(word, (a, b), n)
                 assert image[0] == 0, (n, a, b)
-                assert pair_content(image, n) == pair_content((a, b), n)
+                assert content(image, n) == content((a, b), n)
                 oracle = solve_pair((a, b), image, n)
-                assert oracle is not None and oracle.apply((a, b), n) == image
+                assert oracle is not None and on_pair(oracle, (a, b), n) == image
                 assert len(word) <= bound, (n, a, b, str(word))
 
 
 def test_power_words_match_unit_letters():
     # a power word acts as its letters repeated, as a matrix and on blocks
     word = clear_alpha((7, 3), 11)
-    unit = BlockWord(tuple(c for c, k in zip(word.codes, word.powers)
-                           for _ in range(k)))
+    unit = GeneratorWord(tuple(make_token(t.kind, 1, 1 if t.exponent > 0 else -1)
+                               for t in word.tokens for _ in range(abs(t.exponent))))
     assert np.array_equal(block_matrix(word, 11), block_matrix(unit, 11))
-    assert word.apply((7, 3), 11) == unit.apply((7, 3), 11) == (0, 1)
-    # (7, 3) -> (1, 3) -> (1, 1) -> (0, 1): the division step L^3 would
-    # reach (1, 0), so the word takes L^2 and ends with R^-1
-    assert str(word) == "R^-2 L^2 R^-1"
-    assert str(word.on_block(2)) == "B2^-2 A2^2 B2^-1"
+    assert on_pair(word, (7, 3), 11) == on_pair(unit, (7, 3), 11) == (0, 1)
+    # (7, 3) -> (1, 3) -> (1, 1) -> (0, 1): the division step A1^3 would
+    # reach (1, 0), so the word takes A1^2 and ends with B1^-1
+    assert str(word) == "B1^-2 A1^2 B1^-1"
+    assert str(on_block(word, 2)) == "B2^-2 A2^2 B2^-1"
 
 
 def test_clear_alpha_words_are_in_normal_form():
-    # every pair for n <= 64: positive powers, letters of the two kinds
+    # every pair for n <= 64: powers of L = A1 and R^-1 = B1^-1 (L^-1
+    # only in the word of a start (a, 0)), letters of the two kinds
     # alternating, within the length bound, and alpha cleared
     for n in range(2, 65):
         bound = 2 * math.ceil(math.log2(n)) + 4
         for a in range(n):
             for b in range(n):
                 word = clear_alpha((a, b), n)
-                assert all(k >= 1 for k in word.powers), (n, a, b, str(word))
-                kinds = [_LETTER_KIND[c] for c in word.codes]
+                assert all((t.exponent > 0) == (t.kind == "A" and b != 0)
+                           for t in word.tokens), (n, a, b, str(word))
+                kinds = [t.kind for t in word.tokens]
                 assert all(x != y for x, y in zip(kinds, kinds[1:])), (n, a, b, str(word))
                 assert len(word) <= bound, (n, a, b, str(word))
-                assert word.apply((a, b), n)[0] == 0, (n, a, b)
+                assert on_pair(word, (a, b), n)[0] == 0, (n, a, b)
