@@ -9,8 +9,7 @@ linear/translation split of an affine map.
 
 from mcgorbits import (
     Generator, SpaceParams, apply_affine, apply_word, format_word,
-    generator_action, linear_translation_split, make_element, parse_word,
-    word_action, zero_element,
+    generator_action, make_element, parse_word, word_action, zero_element,
 )
 
 p = SpaceParams(g=2, n=4, strict_euler=False)
@@ -27,13 +26,11 @@ print()
 word = parse_word("B2 A2 B2")
 print(f"word {format_word(word)} applied to x: {apply_word(word, x)}")
 m = word_action(word, p)
-L, t = linear_translation_split(m)
 print("its linear part acts on the second block as")
-print(L[2:4, 2:4])
+print(m.linear[2:4, 2:4])
 
 print()
 c = generator_action(Generator("C", 1), p)
 print(f"the C1 twist is genuinely affine: it moves the zero state to "
       f"{apply_affine(c, zero_element(p))}")
-L, t = linear_translation_split(c)
-print(f"translation part: {t.tolist()}")
+print(f"translation part: {c.translation.tolist()}")

@@ -10,8 +10,7 @@ cocycle facts underlying the generator formulas.
 
 from .space import (
     AffineMap, DimensionError, GnElement, SpaceParams, apply_affine,
-    compose, decode, encode, linear_translation_split, make_element,
-    parse_element, zero_element,
+    compose, decode, encode, make_element, parse_element, zero_element,
 )
 from .action import (
     Generator, GeneratorWord, WordSyntaxError, apply_word, format_word,

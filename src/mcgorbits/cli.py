@@ -90,7 +90,7 @@ def _regime(params: SpaceParams) -> str:
 def cmd_classify(args) -> int:
     params = _space(args)
     x = _element(args, params)
-    form, cert = normalize(x)
+    form, cert = normalize(x, verify=False)
     if not cert.replays():
         raise CliError("internal error: certificate failed replay")
     payload = {
@@ -144,7 +144,7 @@ def cmd_orbits(args) -> int:
 def cmd_normalize(args) -> int:
     params = _space(args)
     x = _element(args, params)
-    form, cert = normalize(x)
+    form, cert = normalize(x, verify=False)
     if not cert.replays():
         raise CliError("internal error: certificate failed replay")
     payload = {

@@ -100,9 +100,8 @@ class AffineMap:
     """x -> Lx + t over Z/nZ, with L an invertible 2g x 2g matrix.
 
     Entries are kept as canonical residues; linear and translation are
-    read-only numpy arrays.  Invertibility is not checked on construction
-    (products of generator maps are invertible by design); `inverse`
-    raises on a singular linear part.
+    read-only numpy arrays.  Invertibility is not checked: products of
+    generator maps are invertible by design.
     """
 
     n: int
@@ -141,33 +140,6 @@ class AffineMap:
     def __hash__(self):
         return hash((self.n, self.linear.tobytes(), self.translation.tobytes()))
 
-    def is_identity(self) -> bool:
-        return (not self.translation.any()
-                and np.array_equal(self.linear, np.eye(self.dim, dtype=np.int64) % self.n))
-
-    def inverse(self) -> "AffineMap":
-        """Two-sided affine inverse; raises ValueError if L is singular mod n."""
-        import sympy  # deferred: it costs more to import than the package
-
-        try:
-            linv = sympy.Matrix(self.linear.tolist()).inv_mod(self.n)
-        except (ValueError, sympy.matrices.exceptions.NonInvertibleMatrixError) as exc:
-            raise ValueError(f"linear part not invertible mod {self.n}: {exc}") from None
-        linv = np.array(linv.tolist(), dtype=np.int64) % self.n
-        return AffineMap(self.n, linv, (-linv @ self.translation) % self.n)
-
-    def __pow__(self, k: int) -> "AffineMap":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = AffineMap(self.n, np.eye(self.dim, dtype=np.int64),
-                           np.zeros(self.dim, dtype=np.int64))
-        while k:
-            if k & 1:
-                result = compose(result, base)
-            base = compose(base, base)
-            k >>= 1
-        return result
-
 
 def apply_affine(m: AffineMap, x: GnElement) -> GnElement:
     """Return m(x) = Lx + t reduced mod n."""
@@ -184,11 +156,6 @@ def compose(m1: AffineMap, m2: AffineMap) -> AffineMap:
         raise DimensionError("cannot compose maps of different dimensions or moduli")
     return AffineMap(m1.n, (m1.linear @ m2.linear) % m1.n,
                      (m1.linear @ m2.translation + m1.translation) % m1.n)
-
-
-def linear_translation_split(m: AffineMap) -> tuple:
-    """(L, t) with t the image of the zero element."""
-    return m.linear.copy(), m.translation.copy()
 
 
 def encode(x: GnElement) -> int:
@@ -219,18 +186,3 @@ def decode_array(indices, params: SpaceParams) -> np.ndarray:
         idx = idx // params.n
     return out
 
-
-def symplectic_form(params: SpaceParams) -> np.ndarray:
-    """Standard symplectic matrix J in the (alpha_1, beta_1, ...) ordering."""
-    J = np.zeros((params.dim, params.dim), dtype=np.int64)
-    for i in range(params.g):
-        J[2 * i, 2 * i + 1] = 1
-        J[2 * i + 1, 2 * i] = -1
-    return J % params.n
-
-
-def is_symplectic(matrix: np.ndarray, params: SpaceParams) -> bool:
-    """Does L^T J L = J hold mod n?"""
-    J = symplectic_form(params)
-    L = np.asarray(matrix, dtype=np.int64)
-    return np.array_equal((L.T @ J @ L) % params.n, J)

@@ -13,8 +13,7 @@ from mcgorbits.action import (
     word_action,
 )
 from mcgorbits.space import (
-    AffineMap, SpaceParams, apply_affine, linear_translation_split,
-    make_element, zero_element,
+    AffineMap, SpaceParams, apply_affine, compose, make_element, zero_element,
 )
 
 
@@ -103,7 +102,7 @@ def test_reflection():
     assert y.coords == (3, 1, 0, 1)
     # involution
     m = generator_action(Generator("s"), p)
-    assert (m ** 2).is_identity()
+    assert compose(m, m) == AffineMap.identity(p)
 
 
 def test_index_ranges():
@@ -119,7 +118,7 @@ def test_c_twist_matrix_block():
     # the full affine data of C1 on (alpha1, beta1, alpha2, beta2)
     p = params(2, 7)
     m = generator_action(Generator("C", 1), p)
-    L, t = linear_translation_split(m)
+    L, t = m.linear, m.translation
     expected = np.array([[1, 0, 0, 0],
                          [-1, 1, 1, 0],
                          [0, 0, 1, 0],
@@ -130,8 +129,8 @@ def test_c_twist_matrix_block():
 
 def test_ab_block_matrices():
     p = params(2, 7)
-    La, _ = linear_translation_split(generator_action(Generator("A", 1), p))
-    Lb, _ = linear_translation_split(generator_action(Generator("B", 1), p))
+    La = generator_action(Generator("A", 1), p).linear
+    Lb = generator_action(Generator("B", 1), p).linear
     assert np.array_equal(La[0:2, 0:2], np.array([[1, 0], [-1, 1]]) % 7)
     assert np.array_equal(Lb[0:2, 0:2], np.array([[1, 1], [0, 1]]) % 7)
     from mcgorbits.sl2 import _letter_matrices
@@ -147,7 +146,8 @@ def test_c_inverse_is_affine_inverse():
         for i in (1, 2):
             m = generator_action(Generator("C", i), p)
             minv = generator_action(Generator("C", i, -1), p)
-            assert minv == m.inverse()
+            assert compose(m, minv) == AffineMap.identity(p)
+            assert compose(minv, m) == AffineMap.identity(p)
 
 
 def test_negative_exponent_examples():
@@ -162,13 +162,13 @@ def test_negative_exponent_examples():
 
 def test_empty_word_is_identity():
     p = params(2, 2)
-    assert word_action(EMPTY_WORD, p).is_identity()
+    assert word_action(EMPTY_WORD, p) == AffineMap.identity(p)
 
 
 def test_word_cancellation():
     p = params(2, 6)
     w = parse_word("C1 C1^-1")
-    assert word_action(w, p).is_identity()
+    assert word_action(w, p) == AffineMap.identity(p)
 
 
 def test_bab_block_matrix():
@@ -181,7 +181,7 @@ def test_bab_block_matrix():
     assert np.array_equal(expected, np.array([[0, 1], [-1, 0]]) % n)
     p = params(2, n)
     m = word_action(parse_word("B2 A2 B2"), p)
-    L, t = linear_translation_split(m)
+    L, t = m.linear, m.translation
     assert not t.any()
     assert np.array_equal(L[2:4, 2:4], expected)
     assert np.array_equal(L[0:2, 0:2], np.eye(2, dtype=int))
@@ -308,7 +308,7 @@ def multi_twist(ks):
 
 def test_multi_twist_trivial_and_single():
     p = params(2, 5)
-    assert word_action(multi_twist((0,)), p).is_identity()
+    assert word_action(multi_twist((0,)), p) == AffineMap.identity(p)
     assert word_action(multi_twist((1,)), p) == \
         generator_action(Generator("C", 1), p)
 

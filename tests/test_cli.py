@@ -184,6 +184,33 @@ def test_normalize_certificate(capsys):
     assert apply_word(parse_word(data["certificate"]), x).coords == (0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("command", ["classify", "normalize"])
+def test_tampered_certificate_is_a_clean_error(capsys, monkeypatch, command):
+    # a normalizer whose certificate does not replay, and which, like the
+    # real one, raises AssertionError when asked to verify it: the CLI
+    # replays each certificate it prints, once, and reports a failed
+    # replay as an error line, not a traceback
+    from mcgorbits import cli
+    from mcgorbits.action import Generator, GeneratorWord
+    from mcgorbits.normalize import Certificate
+
+    real = cli.normalize
+    extra = GeneratorWord((Generator("C", 1),))
+
+    def normalize(x, verify=True):
+        form, cert = real(x, verify=False)
+        cert = Certificate(cert.word.then(extra), cert.source, cert.target)
+        if verify and not cert.replays():
+            raise AssertionError(f"certificate for {x} does not replay")
+        return form, cert
+
+    monkeypatch.setattr(cli, "normalize", normalize)
+    code, out, err = run(capsys, command, "--g", "2", "--n", "2",
+                         "--element", "1,1,1,1")
+    assert code == 2 and out == ""
+    assert err == "error: internal error: certificate failed replay\n"
+
+
 def test_verify_sl2(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "sl2", "--n", "6")
     assert code == 0
@@ -274,7 +301,7 @@ def test_unrealizable_genus_is_a_clean_error(capsys, command):
     # the genus-45 relator residual (about 1.04e-6) exceeds the 1e-6 tolerance
     code, out, err = run(capsys, *command, "--genus", "45")
     assert code == 2 and out == ""
-    assert err.startswith("error: relator residual ")
+    assert err.startswith("error: genus 45 cannot be realized: relator residual ")
     assert err.endswith(" exceeds tolerance 1e-06\n")
     assert err.count("\n") == 1
 

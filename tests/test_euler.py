@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from mcgorbits.euler import (
-    IllConditionedError, LiftedCircleMap, axes_cross, cocycle,
+    FuchsianGroup, IllConditionedError, LiftedCircleMap, axes_cross, cocycle,
     conjugated_generator_word, fixed_angles, nu_consistency,
     parse_surface_word, relator_euler_number, sigma0_lift, standard_group,
-    _is_projective_identity, _reflect,
+    _polygon_generators, _projective_distance, _reflect,
 )
 from mcgorbits.space import SpaceParams, make_element
 
@@ -84,7 +84,7 @@ def test_sigma0_conjugation_equivariance(g2):
         left = sigma0_lift(g2, conj)
         fh = sigma0_lift(g2, h)
         fw = sigma0_lift(g2, w)
-        fh_inv = fh.inverse()
+        fh_inv = sigma0_lift(g2, hinv)
         for t in (0.4, 2.2):
             assert abs(left(t) - fh(fw(fh_inv(t)))) < 1e-6
 
@@ -185,6 +185,14 @@ def test_relator_euler_number(g2, g3):
     assert relator_euler_number(g3) == 4
 
 
+@pytest.mark.parametrize("genus", list(range(2, 45)) + [51, 52])
+def test_relator_euler_number_at_every_realizable_genus(genus):
+    # the raw polygon realization, without the short-word check of
+    # standard_group; its orientation is not normalized, hence the abs
+    group = FuchsianGroup(genus, _polygon_generators(genus))
+    assert abs(relator_euler_number(group)) == 2 * genus - 2
+
+
 def test_relator_closing_product_is_judged_at_group_tolerance():
     # the genus-12 relator closes to within about 1.4e-9: the identity at
     # the group's 1e-6, though a lift at 1e-9 would read it as parabolic
@@ -234,7 +242,7 @@ def test_lift_keeps_fresh_fixed_angles_and_triviality(g2):
             for _ in range(2):  # the first use fills the cache, the second reads it
                 if not lift.is_trivial():
                     lift(0.5)
-                assert lift.is_trivial() == _is_projective_identity(m, tol)
+                assert lift.is_trivial() == (_projective_distance(m) < tol)
                 if fresh is None:
                     with pytest.raises(IllConditionedError):
                         lift.fixed_angles

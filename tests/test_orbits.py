@@ -19,7 +19,7 @@ from mcgorbits.orbits import (
     positive_generators, trace_path,
 )
 from mcgorbits.space import (
-    SpaceParams, compose, decode, decode_array, encode, make_element,
+    AffineMap, SpaceParams, compose, decode, decode_array, encode, make_element,
     zero_element,
 )
 
@@ -410,6 +410,22 @@ def test_commutation_relation_is_the_chain(n):
                 # the later ones that fail to commute with u
                 assert later == list(range(u + 1, u + 1 + len(later)))
                 assert reach[u] == 1 + max(later, default=u)
+
+
+@pytest.mark.parametrize("part", ["linear", "translation"])
+def test_local_action_rejects_a_map_outside_its_terms(monkeypatch, part):
+    # A1's only term is block 1; couple beta_1 to alpha_2, or move alpha_2
+    p = params(2, 3, strict=False)
+    real = generator_action(Generator("A", 1), p)
+    linear, translation = real.linear.copy(), real.translation.copy()
+    if part == "linear":
+        linear[1, 2] = 1
+    else:
+        translation[2] = 1
+    monkeypatch.setattr(orbits, "generator_action",
+                        lambda gen, params: AffineMap(p.n, linear, translation))
+    with pytest.raises(ValueError, match="is not local to its blocks"):
+        _local_action(Generator("A", 1), p)
 
 
 def test_genus_60_one_state_space_stays_small():

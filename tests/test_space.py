@@ -11,8 +11,7 @@ import pytest
 
 from mcgorbits.space import (
     AffineMap, DimensionError, SpaceParams, apply_affine, compose, decode,
-    decode_array, encode, is_symplectic, make_element,
-    parse_element, symplectic_form, zero_element,
+    decode_array, encode, make_element, parse_element, zero_element,
 )
 from mcgorbits.action import Generator, generator_action
 
@@ -77,19 +76,14 @@ def test_import_leaves_sympy_unloaded():
     assert result.stdout.strip() == "False"
 
 
-def test_inverse_of_singular_map_raises():
-    m = AffineMap(4, [[2, 0], [0, 1]], [1, 0])
-    with pytest.raises(ValueError, match="not invertible mod 4"):
-        m.inverse()
-
-
 def test_compose_identity_and_inverse():
     p = SpaceParams(2, 4, strict_euler=False)
     m = generator_action(Generator("C", 1), p)
+    minv = generator_action(Generator("C", 1, -1), p)
     ident = AffineMap.identity(p)
     assert compose(ident, m) == m
-    assert compose(m, m.inverse()) == ident
-    assert compose(m.inverse(), m) == ident
+    assert compose(m, minv) == ident
+    assert compose(minv, m) == ident
 
 
 def test_compose_c_twist_doubling():
@@ -155,31 +149,25 @@ def test_array_codec_agrees_with_scalar():
         assert tuple(mat[k]) == decode(int(idx[k]), p).coords
 
 
+def symplectic_form(p):
+    """The standard J in the (alpha_1, beta_1, ...) ordering, mod n."""
+    return np.kron(np.eye(p.g, dtype=np.int64), np.array([[0, 1], [-1, 0]])) % p.n
+
+
 def test_generator_linear_parts_symplectic():
     # every orientation-preserving generator preserves J mod n
     for n in (2, 3, 4, 5):
         p = SpaceParams(3, n, strict_euler=False)
+        J = symplectic_form(p)
         gens = [Generator("A", 1), Generator("A", 3), Generator("B", 2),
                 Generator("C", 1), Generator("C", 2), Generator("D", 1)]
         for gen in gens:
             for e in (1, -1):
                 m = generator_action(Generator(gen.kind, gen.index, e), p)
-                assert is_symplectic(m.linear, p), (gen, e, n)
+                assert np.array_equal((m.linear.T @ J @ m.linear) % n, J), (gen, e, n)
     # the reflection s is anti-symplectic for n > 2, so it is excluded
     p = SpaceParams(2, 4, strict_euler=False)
     smap = generator_action(Generator("s"), p)
     J = symplectic_form(p)
     assert np.array_equal((smap.linear.T @ J @ smap.linear) % 4, (-J) % 4)
 
-
-def test_affine_pow():
-    p = SpaceParams(2, 12, strict_euler=False)
-    m = generator_action(Generator("C", 1), p)
-    acc = AffineMap.identity(p)
-    for k in range(1, 7):
-        acc = compose(m, acc)
-        assert m ** k == acc
-    assert m ** 0 == AffineMap.identity(p)
-    assert m ** -3 == (m ** 3).inverse()
-    # exponents reduce mod n for the C twist
-    assert m ** 12 == AffineMap.identity(p)
