@@ -18,7 +18,6 @@ print(f"space: genus {p.g}, index {p.n}, {p.size} states")
 print(f"x = {x}")
 
 for text in ("A1", "B1", "C1", "s", "D1"):
-    gen = parse_word(text).tokens[0]
     y = apply_word(parse_word(text), x)
     print(f"  {text:3} sends x to {y}")
 

@@ -87,12 +87,22 @@ def _regime(params: SpaceParams) -> str:
     return "outside n | 2g-2 regime"
 
 
-def cmd_classify(args) -> int:
+def _normalized(args):
+    """The space, the element, and its canonical form and certificate.
+
+    The certificate is replayed here once, so a failed replay is a clean
+    error rather than a printed word that does not hold.
+    """
     params = _space(args)
     x = _element(args, params)
     form, cert = normalize(x, verify=False)
     if not cert.replays():
         raise CliError("internal error: certificate failed replay")
+    return params, x, form, cert
+
+
+def cmd_classify(args) -> int:
+    params, x, form, cert = _normalized(args)
     payload = {
         "g": params.g,
         "n": params.n,
@@ -142,11 +152,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    params = _space(args)
-    x = _element(args, params)
-    form, cert = normalize(x, verify=False)
-    if not cert.replays():
-        raise CliError("internal error: certificate failed replay")
+    params, x, form, cert = _normalized(args)
     payload = {
         "element": list(x.coords),
         "canonical_representative": list(form.representative.coords),
@@ -343,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus", type=_genus, default=2, help="genus for cocycle checks")
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cocycle", help="sample cocycle values as JSON")

@@ -11,27 +11,27 @@ matrices are read off the block slice of `action.generator_action`,
 `on_pair` replays a word on a pair through `action.replay_tokens`, and
 `on_block` moves a word to another block.
 
-The normalizer's block moves are built in closed form: `clear_alpha`
+Pair words are built in closed form, with no tables: `clear_alpha`
 runs the Euclidean algorithm on the integer representatives of (a, b),
-one power token per division step, so its words have O(log n) tokens
-and need no tables.  Breadth-first search over the n^2 pair states
-(`solve_pair`) and over the group (`generate_sl2`) gives shortest words;
-it is kept as the reference the tests and `verify --suite sl2` check
-against, and no normalize path calls it.
+one power token per division step, so its words have O(log n) tokens.
+The normalizer's block moves are these words.  `solve_pair` joins two
+of them through the point (0, gcd(a, b, n)) that every pair of that
+content reaches, so SL(2, Z/nZ) is transitive on each content class.
+Breadth-first search over the group (`generate_sl2`) gives shortest
+words; `verify --suite sl2` checks its closure against the group order.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from functools import lru_cache
 
-import numpy as np
-
-from .action import EMPTY_WORD, GeneratorWord, generator_action, make_token, replay_tokens
+from .action import (
+    EMPTY_WORD, GeneratorWord, generator_action, make_token, replay_tokens, simplify_word,
+)
 from .space import SpaceParams
 
-# the letters L, L^-1, R, R^-1 as block-1 tokens; a letter's position
-# here is its code in every BFS table
+# the letters L, L^-1, R, R^-1 as block-1 tokens
 _LETTERS = tuple(make_token(kind, 1, e)
                  for kind, e in (("A", 1), ("A", -1), ("B", 1), ("B", -1)))
 _L_INV, _R_INV = _LETTERS[1], _LETTERS[3]
@@ -39,11 +39,11 @@ _L_INV, _R_INV = _LETTERS[1], _LETTERS[3]
 
 @lru_cache(maxsize=128)
 def _letter_matrices(n: int) -> tuple:
-    """(m00, m01, m10, m11) mod n of each letter, in letter-code order.
+    """(m00, m01, m10, m11) mod n of each letter, in `_LETTERS` order.
 
-    Read from the block-1 slice of the letters' actions; the pair search
-    and the group closure step with them.  An entry is four 4-tuples of
-    ints, under 1 KB, so the cache stays under 128 KB.
+    Read from the block-1 slice of the letters' actions; only the group
+    closure `generate_sl2` steps with them.  An entry is four 4-tuples
+    of ints, under 1 KB, so the cache stays under 128 KB.
     """
     params = SpaceParams(2, n, strict_euler=False)
     return tuple(
@@ -66,46 +66,6 @@ def on_pair(word: GeneratorWord, pair, n: int) -> tuple:
     coords = [pair[0] % n, pair[1] % n]
     replay_tokens(word.tokens, coords, n, 1)
     return tuple(coords)
-
-
-SOLVE_PAIR_MAX_N = 100
-
-
-@lru_cache(maxsize=512)
-def _pair_bfs(n: int, source: int):
-    """Shortest-word forest over the pair space from `source` = a + n*b.
-
-    Returns (dist, parent, letter) arrays indexed by packed pairs.
-    """
-    size = n * n
-    dist = np.full(size, -1, dtype=np.int32)
-    parent = np.full(size, -1, dtype=np.int32)
-    letter = np.full(size, -1, dtype=np.int8)
-    dist[source] = 0
-    queue = deque([source])
-    letters = _letter_matrices(n)
-    while queue:
-        p = queue.popleft()
-        a, b = p % n, p // n
-        d = dist[p] + 1
-        for code, m in enumerate(letters):
-            a2, b2 = _on_pair(m, a, b, n)
-            q = a2 + n * b2
-            if dist[q] < 0:
-                dist[q] = d
-                parent[q] = p
-                letter[q] = code
-                queue.append(q)
-    return dist, parent, letter
-
-
-def _walk(parent, letter, target: int) -> GeneratorWord:
-    tokens = []
-    p = target
-    while parent[p] >= 0:
-        tokens.append(_LETTERS[letter[p]])
-        p = int(parent[p])
-    return GeneratorWord(tuple(reversed(tokens)))
 
 
 def clear_alpha(pair, n: int) -> GeneratorWord:
@@ -150,34 +110,41 @@ def _euclid_word(a: int, b: int) -> GeneratorWord:
     return GeneratorWord(tuple(tokens))
 
 
-def solve_pair(pair_from, pair_to, n: int):
-    """Shortest word mapping pair_from to pair_to, or None when unreachable.
+def _content_word(pair, n: int) -> GeneratorWord:
+    """Word sending (a, b) to (0, c), where c = gcd(a, b, n) is the content.
 
-    Reachability is decided by the search itself; the gcd-content
-    criterion is asserted by the tests, not assumed here.  Each search
-    from a new source builds a table of 9 n^2 bytes, and up to 512 of them
-    are cached, so the modulus is capped at SOLVE_PAIR_MAX_N = 100: the
-    cache then holds at most 512 * 9 * 100^2 = 46,080,000 bytes.  A
-    modulus outside [1, SOLVE_PAIR_MAX_N] raises ValueError before any
-    table is built.
+    `clear_alpha` lands on (0, d).  When d is not c mod n, write d = c*d'
+    and n = c*n' with d' a unit mod n': B_1^k with k = d'^-1 mod n' sends
+    (0, d) to (c, d), and a second `clear_alpha` takes (c, d) to (0, c).
+    So every pair of one content reaches the same point, which is the
+    transitivity of SL(2, Z/nZ) on each content class.
     """
-    if not 1 <= n <= SOLVE_PAIR_MAX_N:
-        raise ValueError(
-            f"modulus must be in [1, {SOLVE_PAIR_MAX_N}] for the pair search, got {n}")
-    if n == 1:
-        return EMPTY_WORD
-    return _solve_pair_cached(pair_from[0] % n, pair_from[1] % n,
-                              pair_to[0] % n, pair_to[1] % n, n)
+    word = clear_alpha(pair, n)
+    d = on_pair(word, pair, n)[1]
+    c = math.gcd(d, n)
+    if d == c % n:
+        return word
+    k = pow(d // c, -1, n // c)
+    return word.then(GeneratorWord((make_token("B", 1, k),))).then(clear_alpha((c, d), n))
 
 
-@lru_cache(maxsize=65536)
-def _solve_pair_cached(a: int, b: int, c: int, d: int, n: int):
-    dist, parent, letter = _pair_bfs(n, a + n * b)
-    target = c + n * d
-    if dist[target] < 0:
+def solve_pair(pair_from, pair_to, n: int):
+    """A word mapping pair_from to pair_to, or None when there is none.
+
+    The word is `_content_word(pair_from)` followed by the inverse of
+    `_content_word(pair_to)`, simplified; it has O(log n) tokens and is
+    not in general shortest.  Solvability is decided by replaying the two
+    content words: the answer is None exactly when they land on different
+    points.  Any modulus n >= 1 works and no table is built; n < 1 raises
+    ValueError.
+    """
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    there, back = _content_word(pair_from, n), _content_word(pair_to, n)
+    if on_pair(there, pair_from, n) != on_pair(back, pair_to, n):
         return None
-    word = _walk(parent, letter, target)
-    assert on_pair(word, (a, b), n) == (c, d)
+    word = simplify_word(there.then(back.inverse()))
+    assert on_pair(word, pair_from, n) == (pair_to[0] % n, pair_to[1] % n)
     return word
 
 

@@ -100,8 +100,7 @@ def test_malformed_budget_is_a_clean_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "two"])
-@pytest.mark.parametrize("command", [("orbits", "--g", "2", "--n", "2"),
-                                     ("verify", "--suite", "theorem")])
+@pytest.mark.parametrize("command", [("orbits", "--g", "2", "--n", "2")])
 def test_bad_thread_count_is_a_usage_error(capsys, command, value):
     with pytest.raises(SystemExit) as exc:
         main([*command, "--threads", value])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from mcgorbits.sl2 import (
-    SOLVE_PAIR_MAX_N, _pair_bfs, clear_alpha, generate_sl2, on_block, on_pair,
-    sl2_group_order, solve_pair,
+    _content_word, clear_alpha, generate_sl2, on_block, on_pair, sl2_group_order,
+    solve_pair,
 )
 from mcgorbits.action import GeneratorWord, make_token, parse_word
 from mcgorbits.space import SpaceParams, apply_affine, make_element
@@ -106,13 +106,58 @@ def test_solve_pair_identity_and_examples():
     assert solve_pair((1, 0), (2, 0), 4) is None
 
 
-@pytest.mark.parametrize("n", [0, -3, SOLVE_PAIR_MAX_N + 1, 1000])
+@pytest.mark.parametrize("n", [0, -3, 101, 1000])
 def test_solve_pair_refuses_modulus_outside_cap(n):
-    _pair_bfs.cache_clear()
-    with pytest.raises(ValueError, match="modulus must be in"):
-        solve_pair((1, 0), (0, 1), n)
-    assert _pair_bfs.cache_info().currsize == 0  # no table was built
-    assert solve_pair((1, 0), (0, 1), SOLVE_PAIR_MAX_N) is not None
+    # only n < 1 is refused; the closed-form words have no modulus cap
+    if n < 1:
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            solve_pair((1, 0), (0, 1), n)
+    else:
+        word = solve_pair((1, 0), (0, 1), n)
+        assert word is not None and on_pair(word, (1, 0), n) == (0, 1)
+
+
+def test_solve_pair_replays_past_the_old_cap():
+    # n = 1000: pairs of one content are joined by a replaying word, and
+    # pairs of different contents are refused; both cases occur
+    n = 1000
+    divisors = [c for c in range(1, n + 1) if n % c == 0]
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(200):
+        c = rng.choice(divisors)
+        u = (c * rng.randrange(n), c * rng.randrange(n))
+        v = (rng.choice(divisors) * rng.randrange(n), c * rng.randrange(n))
+        w = solve_pair(u, v, n)
+        if content(u, n) == content(v, n):
+            assert w is not None and on_pair(w, u, n) == (v[0] % n, v[1] % n)
+        else:
+            assert w is None
+        outcomes.add(w is None)
+    assert outcomes == {True, False}
+
+
+def test_pair_content_classes_are_orbits():
+    # the transitivity lemma, checked for every n <= 64 and every pair:
+    # `_content_word` sends (a, b) to (0, gcd(a, b, n)), and no letter
+    # L^+-1, R^+-1 changes gcd(a, b, n), so each content class is one
+    # orbit of SL(2, Z/nZ) and there are exactly d(n) of them
+    letters = [GeneratorWord((make_token(kind, 1, e),))
+               for kind in ("A", "B") for e in (1, -1)]
+    for n in range(1, 65):
+        bound = 2 * math.ceil(math.log2(n)) + 7 if n > 1 else 0
+        landings = set()
+        for a in range(n):
+            for b in range(n):
+                c = content((a, b), n)
+                word = _content_word((a, b), n)
+                landing = on_pair(word, (a, b), n)
+                assert landing == (0, c % n), (n, a, b, str(word))
+                assert len(word) <= bound, (n, a, b, str(word))
+                landings.add(landing)
+                for letter in letters:
+                    assert content(on_pair(letter, (a, b), n), n) == c, (n, a, b, str(letter))
+        assert len(landings) == sum(1 for k in range(1, n + 1) if n % k == 0)
 
 
 def test_solve_pair_iff_content_matches():
@@ -154,8 +199,8 @@ def test_block_word_round_trips_through_word_grammar():
 
 
 def test_clear_alpha_agrees_with_bfs_oracle():
-    # every pair for n <= 12: alpha cleared, content kept, and the image
-    # is one the breadth-first solver reaches too
+    # every pair for n <= 12: alpha cleared and content kept; the word
+    # itself witnesses that its image is reachable
     for n in range(1, 13):
         bound = 2 * math.ceil(math.log2(n)) + 4 if n > 1 else 0
         for a in range(n):
@@ -164,8 +209,6 @@ def test_clear_alpha_agrees_with_bfs_oracle():
                 image = on_pair(word, (a, b), n)
                 assert image[0] == 0, (n, a, b)
                 assert content(image, n) == content((a, b), n)
-                oracle = solve_pair((a, b), image, n)
-                assert oracle is not None and on_pair(oracle, (a, b), n) == image
                 assert len(word) <= bound, (n, a, b, str(word))
 
 

@@ -64,16 +64,33 @@ def test_apply_affine_c_twist_matches_generator_route():
     assert apply_affine(assembled, zero_element(p)).coords == (0, 1, 0, 1)
 
 
-def test_import_leaves_sympy_unloaded():
+def _fresh_stdout(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports from src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mcgorbits; print('sympy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_import_leaves_sympy_unloaded():
+    assert _fresh_stdout("import sys, mcgorbits; print('sympy' in sys.modules)") == "False"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # importing every module of the package loads no third-party package
+    # but numpy, whatever else the environment has installed
+    added = _fresh_stdout(
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import mcgorbits\n"
+        "for m in pkgutil.iter_modules(mcgorbits.__path__):\n"
+        "    importlib.import_module('mcgorbits.' + m.name)\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))")
+    assert added.split() == ["mcgorbits", "numpy"]
 
 
 def test_compose_identity_and_inverse():
