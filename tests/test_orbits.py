@@ -1,5 +1,6 @@
 """Tests for the exhaustive orbit engine."""
 
+import hashlib
 import itertools
 import json
 import threading
@@ -239,6 +240,34 @@ def _recorded_run(p, selector, chunking):
     data = report.to_dict()
     del data["elapsed_ms"]
     return data, calls, report.forest.parent, report.forest.parent_gen
+
+
+# sha256 of the runs of `test_census_matches_recorded_digest`, taken
+# before the frontier was held as uint32: the census's reports, hook
+# batches and parent links must stay byte-identical
+CENSUS_DIGEST = "2da4aa1e3515c5a5c0769ef8da2f8cee87e2d195f45f20cfcb0e2ace9fe5e8bd"
+
+
+def test_census_matches_recorded_digest():
+    digest = hashlib.sha256()
+    for g, n in ((3, 4), (4, 3), (2, 6)):
+        p = params(g, n, strict=False)
+        for selector in (MOD, MOD_PM):
+            for chunking in ({}, {"chunk_size": 7}):
+                calls = []
+
+                def hook(ordinal, batch):
+                    assert batch.dtype == np.int64
+                    calls.append((ordinal, batch.tolist()))
+
+                report = enumerate_orbits(p, selector, record_paths=True,
+                                          batch_hook=hook, **chunking)
+                data = report.to_dict()
+                del data["elapsed_ms"]
+                digest.update(json.dumps([data, calls]).encode())
+                digest.update(report.forest.parent.astype("<i8").tobytes())
+                digest.update(report.forest.parent_gen.astype("<i2").tobytes())
+    assert digest.hexdigest() == CENSUS_DIGEST
 
 
 @pytest.mark.parametrize("selector", [MOD, MOD_PM])
