@@ -51,12 +51,16 @@ whether the state is fresh, so a state reached twice is caught by that
 one test.  The fresh states are marked by scattering the gathered byte
 OR their bit; where two of them share a byte only one write lands, so
 the bytes are read again and the lost bits written again, in at most 8
-passes (`_mark`).  A level is kept as parts keyed by the reach of the
-generator that found them, and chunks of `chunk_size` states are cut
-from them in descending reach, so row j of a chunk is its leading
-states whose reach exceeds j: a prefix, and a prefix slice of the
-shared block keys.  Parts are consumed as they are chunked; a level is
-never concatenated.  The whole census runs on the calling thread: with
+passes (`_mark`).  A level is kept as uint32 parts keyed by the reach
+of the generator that found them, and chunks of `chunk_size` states are
+cut from them in descending reach and widened to int64, so row j of a
+chunk is its leading states whose reach exceeds j: a prefix, and a
+prefix slice of the shared block keys.  Parts are consumed as they are
+chunked; a level is never concatenated, and the kernel yields a chunk's
+rows one at a time, so one int64 row is live, not all of them.  The
+parts held, 4 bytes per state, count against the budget with the
+visited bitmap; a uint32 index names at most 2^32 states, so larger
+spaces are refused.  The whole census runs on the calling thread: with
 about 3.6 candidates per state a chunk's images cost too little to pay
 for handing them to a worker.  Orbit representatives are the minimal
 state indices, a total order independent of search order.  Parent
@@ -89,6 +93,8 @@ BUDGET_ENV = "MCGORBITS_BITMAP_BUDGET"
 DEFAULT_BITMAP_BUDGET = 512 * 1024 * 1024  # bytes
 PATHS_AUTO_LIMIT = 10 ** 7
 PATH_BYTES_PER_STATE = 10  # int64 parent index plus int16 generator id
+FRONTIER_BYTES_PER_STATE = 4  # a uint32 state index
+STATE_LIMIT = 1 << 32  # the most states a uint32 index can name
 TABLE_BYTES_PER_ENTRY = 8  # one int64 delta per key of a term
 TABLE_BUILD_BYTES_PER_KEY = 80  # scratch while a term is built, measured
 
@@ -138,7 +144,8 @@ def _mark(visited: np.ndarray, idx: np.ndarray):
 
 
 class BudgetExceededError(MemoryError):
-    """State space too large for the configured visited-bitmap budget."""
+    """State space too large for the configured budget, or over the
+    census's limit of STATE_LIMIT states."""
 
 
 class BudgetConfigError(ValueError):
@@ -295,12 +302,12 @@ def _image_kernel(gens, params: SpaceParams):
     """(images, reach) for a generator list.
 
     `reach` is the generators' `_reach`.
-    `images(chunk, counts)` returns the images of chunk[:counts[j]] under
-    generator j, for each j while counts[j] > 0; counts must not
-    increase.  The g block keys (and the g - 1 keys of adjacent block
-    pairs) are computed once per chunk, each on the longest prefix a row
-    reads, and shared by every generator, so an image is one gather per
-    term plus one add.
+    `images(chunk, counts)` yields the images of chunk[:counts[j]] under
+    generator j, one row at a time, for each j while counts[j] > 0;
+    counts must not increase.  The g block keys (and the g - 1 keys of
+    adjacent block pairs) are computed once per chunk, each on the
+    longest prefix a row reads, and shared by every generator, so an
+    image is one gather per term plus one add.
     """
     g, n = params.g, params.n
     n2 = n * n
@@ -343,7 +350,6 @@ def _image_kernel(gens, params: SpaceParams):
         for i in range(g - 1):
             size = counts[first[g + i]]
             keys.append(keys[i][:size] + n2 * keys[i + 1][:size])
-        rows = []
         for terms, size in zip(tables, counts):
             if size == 0:
                 break
@@ -351,8 +357,7 @@ def _image_kernel(gens, params: SpaceParams):
             row = chunk[:size] + delta.take(keys[slot][:size])
             for slot, delta in rest:
                 row += delta.take(keys[slot][:size])
-            rows.append(row)
-        return rows
+            yield row
 
     return images, reach
 
@@ -380,9 +385,9 @@ def _chunks(level: dict, size: int, generator_count: int):
 
 
 def _joined(held: list, generator_count: int):
-    """One chunk from its (reach, piece) pieces, in descending reach."""
-    chunk = held[0][1] if len(held) == 1 else np.concatenate(
-        [piece for _, piece in held])
+    """One int64 chunk from its uint32 (reach, piece) pieces, in
+    descending reach."""
+    chunk = np.concatenate([piece for _, piece in held], dtype=np.int64)
     counts = [0] * generator_count
     total = k = 0
     for j in range(generator_count - 1, -1, -1):
@@ -492,14 +497,19 @@ def enumerate_orbits(
 
     `batch_hook(orbit_ordinal, index_array)` is invoked on every block of
     states as it is discovered (including the seed), which lets callers
-    audit per-orbit invariants without storing orbit membership.  Refuses
+    audit per-orbit invariants without storing orbit membership; its
+    batches are int64.  Spaces of more than STATE_LIMIT (2^32) states are
+    refused, since the frontier holds state indices as uint32.  Refuses
     to run, before allocating any of them, when the visited bitmap and
     the delta tables (`delta_table_bytes`), plus the parent-link arrays
     when `record_paths` is true, would not fit the configured budget (env
-    MCGORBITS_BITMAP_BUDGET, bytes); the frontier, 8 bytes per state of
-    the widest level, is not counted.  With `record_paths=None` the links
-    are recorded only when the space has at most PATHS_AUTO_LIMIT states
-    and they fit the budget.
+    MCGORBITS_BITMAP_BUDGET, bytes).  The frontier is counted as it
+    grows: the parts held of the level being expanded and of the next
+    one, 4 bytes per state, are checked against what the budget leaves
+    each time a part is added, and the run stops with
+    BudgetExceededError when they overflow it.  With `record_paths=None`
+    the links are recorded only when the space has at most
+    PATHS_AUTO_LIMIT states and they fit the budget.
     """
     if thread_count < 1:
         raise ValueError("thread_count must be >= 1")
@@ -507,6 +517,10 @@ def enumerate_orbits(
         raise ValueError("chunk_size must be >= 1")
     start = time.monotonic()
     size = params.size
+    if size > STATE_LIMIT:
+        raise BudgetExceededError(
+            f"{size} states exceed the census's limit of 2^32 "
+            f"({STATE_LIMIT}): its frontier holds state indices as uint32")
     generators = positive_generators(params, gens)
     nbytes = (size + 7) // 8
     table_bytes = delta_table_bytes(generators, params)
@@ -515,12 +529,15 @@ def enumerate_orbits(
     fixed = nbytes + table_bytes
     if record_paths is None:
         record_paths = size <= PATHS_AUTO_LIMIT and fixed + path_bytes <= budget
-    if fixed + (path_bytes if record_paths else 0) > budget:
-        paths = f" and path arrays need {path_bytes} bytes" if record_paths else ""
+    paths = ""
+    if record_paths:
+        fixed += path_bytes
+        paths = f" and path arrays need {path_bytes} bytes"
+    needs = (f"visited bitmap needs {nbytes} bytes, delta tables need "
+             f"{table_bytes} bytes{paths} for {size} states")
+    if fixed > budget:
         raise BudgetExceededError(
-            f"visited bitmap needs {nbytes} bytes, delta tables need "
-            f"{table_bytes} bytes{paths} for {size} states, "
-            f"budget is {budget}; raise {BUDGET_ENV} to proceed")
+            f"{needs}, budget is {budget}; raise {BUDGET_ENV} to proceed")
 
     images, reach = _image_kernel(generators, params)
     visited = np.zeros(nbytes, dtype=np.uint8)
@@ -552,14 +569,18 @@ def enumerate_orbits(
         if batch_hook is not None:
             batch_hook(orbit_ordinal, np.array([seed], dtype=np.int64))
         orbit_size = 1
-        # a level is kept as parts keyed by the reach of the generator
-        # that found them; the seed is expanded by every generator
-        level = {len(generators): deque([np.array([seed], dtype=np.int64)])}
+        # a level is kept as uint32 parts keyed by the reach of the
+        # generator that found them; the seed is expanded by every
+        # generator.  `held` is the bytes of the parts not yet chunked,
+        # of this level and the next.
+        level = {len(generators): deque([np.array([seed], dtype=np.uint32)])}
+        held = FRONTIER_BYTES_PER_STATE
+        depth = 0
         while level:
             parts = {}
             for chunk, counts in _chunks(level, chunk_size, len(generators)):
-                candidates = images(chunk, counts)
-                for gen_id, nxt in enumerate(candidates):
+                held -= FRONTIER_BYTES_PER_STATE * chunk.size
+                for gen_id, nxt in enumerate(images(chunk, counts)):
                     # a generator is a bijection and the level holds
                     # distinct states, so nxt is duplicate-free; a
                     # state an earlier generator or chunk reached is
@@ -573,9 +594,19 @@ def enumerate_orbits(
                         parent_gen[nxt] = gen_id
                     if batch_hook is not None:
                         batch_hook(orbit_ordinal, nxt)
-                    parts.setdefault(reach[gen_id], deque()).append(nxt)
-                    orbit_size += nxt.size
+                    part = nxt.astype(np.uint32)
+                    parts.setdefault(reach[gen_id], deque()).append(part)
+                    orbit_size += part.size
+                    held += part.nbytes
+                    if fixed + held > budget:
+                        raise BudgetExceededError(
+                            f"{needs}, and BFS levels {depth} and "
+                            f"{depth + 1} of orbit {orbit_ordinal} hold "
+                            f"{held} bytes of frontier: {fixed + held} "
+                            f"bytes, budget is {budget}; raise "
+                            f"{BUDGET_ENV} to proceed")
             level = parts
+            depth += 1
 
         rep = decode(seed, params)
         v = vanishing_number(rep) if params.n % 2 == 0 else None

@@ -89,6 +89,16 @@ def test_orbits_budget_refusal(capsys, monkeypatch):
     assert "bytes" in err
 
 
+def test_orbits_frontier_over_budget_is_a_clean_error(capsys, monkeypatch):
+    # (2, 4): 23072 fixed bytes, and a frontier that peaks at 172 bytes
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "23100")
+    code, out, err = run(capsys, "orbits", "--g", "2", "--n", "4",
+                         "--allow-invalid-euler")
+    assert code == 2 and out == ""
+    assert err.startswith("error: visited bitmap needs 32 bytes")
+    assert "bytes of frontier" in err and "Traceback" not in err
+
+
 def test_malformed_budget_is_a_clean_error(capsys, monkeypatch):
     monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "abc")
     for argv in (("orbits", "--g", "2", "--n", "2"),

@@ -51,7 +51,7 @@ def _check_kernel(gens, p):
     every state; returns the images."""
     states = np.arange(p.size, dtype=np.int64)
     kernel, _ = _image_kernel(gens, p)
-    images = np.array(kernel(states, [p.size] * len(gens)))
+    images = np.array(list(kernel(states, [p.size] * len(gens))))
     assert images.shape == (len(gens), p.size)
     for gen, image in zip(gens, images):
         assert np.array_equal(np.sort(image), states), f"{gen} is not a bijection"
@@ -577,8 +577,52 @@ def test_path_arrays_count_against_budget(monkeypatch):
     # left to decide, the engine skips the links it cannot afford
     report = enumerate_orbits(p)
     assert report.orbit_count == 2 and report.forest is None
-    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "25632")
+    # 25632 bytes plus the 172 bytes (43 states) of its widest frontier
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", "25804")
     assert enumerate_orbits(p, record_paths=True).forest is not None
+
+
+def test_frontier_counts_against_budget(monkeypatch):
+    # (2, 4): a 32-byte bitmap and 23040 bytes of delta tables are fixed;
+    # the frontier peaks at 172 bytes, 4 bytes for each of the 43 states
+    # of BFS level 6 once level 5 has been chunked
+    p = params(2, 4, strict=False)
+    monkeypatch.delenv("MCGORBITS_BITMAP_BUDGET", raising=False)
+    assert enumerate_orbits(p, record_paths=False).orbit_count == 2
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", str(23072 + 171))
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_orbits(p, record_paths=False)
+    message = str(err.value)
+    assert "visited bitmap needs 32 bytes" in message
+    assert "delta tables need 23040 bytes" in message
+    assert "of orbit 0 hold 172 bytes of frontier: 23244 bytes" in message
+    assert "BFS levels 5 and 6" in message
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", str(23072 + 172))
+    assert enumerate_orbits(p, record_paths=False).orbit_count == 2
+
+
+def test_spaces_over_two_to_the_32_are_refused(monkeypatch):
+    # (6, 7) has 7^12 = 1.4e10 states: a uint32 frontier cannot name them,
+    # whatever the budget
+    monkeypatch.setenv("MCGORBITS_BITMAP_BUDGET", str(1 << 50))
+    p = params(6, 7, strict=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_orbits(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "13841287201 states exceed the census's limit of 2^32 (4294967296): "
+        "its frontier holds state indices as uint32")
+    assert peak < 1 << 20  # refused before anything large was allocated
+    # (16, 2) has exactly 2^32 states: the limit admits it, and the default
+    # budget then refuses its 512 MiB bitmap
+    monkeypatch.delenv("MCGORBITS_BITMAP_BUDGET")
+    with pytest.raises(BudgetExceededError,
+                       match="visited bitmap needs 536870912 bytes"):
+        enumerate_orbits(params(16, 2, strict=False))
 
 
 @pytest.mark.parametrize("g,n", [(2, 10), (3, 12)])
