@@ -48,10 +48,10 @@ words stay positive words of BFS length that replay.
 The calling thread takes the generators of each chunk in order and
 gathers each image's byte of the visited set once; that byte decides
 whether the state is fresh, so a state reached twice is caught by that
-one test.  The fresh states are marked by scattering the gathered byte
-OR their bit; where two of them share a byte only one write lands, so
-the bytes are read again and the lost bits written again, in at most 8
-passes (`_mark`).  A level is kept as uint32 parts keyed by the reach
+one test.  The fresh states are marked by one unbuffered `np.add.at`
+of their bits (`_mark`): the fresh states of a row are distinct and
+their bits are clear, so where several share a byte the sum of their
+bits is their OR.  A level is kept as uint32 parts keyed by the reach
 of the generator that found them, and chunks of `chunk_size` states are
 cut from them in descending reach and widened to int64, so row j of a
 chunk is its leading states whose reach exceeds j: a prefix, and a
@@ -106,41 +106,25 @@ def _bit(idx: np.ndarray) -> np.ndarray:
     return np.left_shift(_ONE, idx.astype(np.uint8) & _SEVEN)
 
 
-MARK_PASS_LIMIT = 8  # a byte holds 8 states
+def _mark(visited: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Set the visited bits of the states `idx` and return the positions
+    in `idx` of those that were unmarked.
 
-
-def _mark(visited: np.ndarray, idx: np.ndarray):
-    """(fresh, passes): set the visited bits of the distinct states `idx`
-    and return the positions in `idx` of those that were unmarked, with
-    the number of scatter passes it took.
-
-    Each state's byte is gathered once; the fresh test reads it, and the
-    fresh states are written back as that byte OR their bit by one fancy
-    assignment.  Where several fresh states share a byte only one write
-    lands, so their bytes are read again and the states whose bit was
-    lost are written again.  Every value written is a byte as gathered
-    in the same pass OR one pending bit, so no set bit is ever cleared,
-    and each pass sets exactly one pending bit of every byte that has
-    any: it takes as many passes as the most fresh states one byte
-    holds, never more than MARK_PASS_LIMIT.  Which states are fresh is
-    decided by the first gather alone.
+    Each state's byte is gathered once, and that gather alone decides
+    which states are fresh; their bits are then added to their bytes by
+    one unbuffered `np.add.at`.  Precondition: the states of `idx` are
+    distinct, and nothing writes `visited` between the gather and the
+    add.  Then the bits added to one byte are distinct powers of two
+    that the byte lacks, so their sum is their OR, with no carry.  In
+    the census `idx` is one image row: a generator is a bijection and a
+    level holds distinct states.
     """
     byte = idx >> 3
     bit = _bit(idx)
-    held = visited.take(byte)
-    fresh = np.flatnonzero(held & bit == 0)
-    if fresh.size == 0:
-        return fresh, 0
-    byte, bit, held = byte.take(fresh), bit.take(fresh), held.take(fresh)
-    for passes in range(1, MARK_PASS_LIMIT + 1):
-        visited[byte] = held | bit
-        held = visited.take(byte)
-        lost = np.flatnonzero(held & bit == 0)
-        if lost.size == 0:
-            return fresh, passes
-        byte, bit, held = byte.take(lost), bit.take(lost), held.take(lost)
-    raise AssertionError(
-        f"{lost.size} visited bits still unset after {MARK_PASS_LIMIT} passes")
+    fresh = np.flatnonzero(visited.take(byte) & bit == 0)
+    if fresh.size:
+        np.add.at(visited, byte.take(fresh), bit.take(fresh))
+    return fresh
 
 
 class BudgetExceededError(MemoryError):
@@ -486,9 +470,8 @@ def enumerate_orbits(
     first; the images of a chunk share its block digit keys, and the
     calling thread checks and marks them generator by generator: one
     gather of the visited bitmap per candidate decides which are fresh,
-    and a scatter of those bytes, re-checked for bits lost where fresh
-    states share a byte, marks them (`_mark`).  The parent links are
-    positive words of BFS length for `trace_path`.
+    and one unbuffered add of their bits marks them (`_mark`).  The
+    parent links are positive words of BFS length for `trace_path`.
 
     The census runs on the calling thread alone.  `thread_count` must be
     at least 1 and is echoed as `OrbitReport.thread_count` (the JSON
@@ -585,7 +568,7 @@ def enumerate_orbits(
                     # distinct states, so nxt is duplicate-free; a
                     # state an earlier generator or chunk reached is
                     # already marked and fails the fresh test
-                    fresh, _ = _mark(visited, nxt)
+                    fresh = _mark(visited, nxt)
                     if fresh.size == 0:
                         continue
                     nxt = nxt.take(fresh)

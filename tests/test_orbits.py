@@ -14,10 +14,9 @@ from mcgorbits.action import Generator, apply_word, generator_action, replay_tok
 from mcgorbits.invariants import vanishing_number, vanishing_number_array
 from mcgorbits.normalize import Certificate, normalize
 from mcgorbits.orbits import (
-    MARK_PASS_LIMIT, BudgetConfigError, BudgetExceededError, MOD, MOD_PM,
-    OrbitMismatchError, PathsUnavailableError, _commute, _image_kernel,
-    _local_action, _mark, delta_table_bytes, enumerate_orbits,
-    positive_generators, trace_path,
+    BudgetConfigError, BudgetExceededError, MOD, MOD_PM, OrbitMismatchError,
+    PathsUnavailableError, _commute, _image_kernel, _local_action, _mark,
+    delta_table_bytes, enumerate_orbits, positive_generators, trace_path,
 )
 from mcgorbits.space import (
     AffineMap, SpaceParams, compose, decode, decode_array, encode, make_element,
@@ -187,11 +186,11 @@ def test_census_starts_no_thread():
 
 
 def _reference_mark(visited, idx):
-    """`orbits._mark` by one unbuffered np.bitwise_or.at, in one pass."""
+    """`orbits._mark` by one unbuffered np.bitwise_or.at."""
     bit = np.left_shift(1, idx & 7).astype(np.uint8)
     fresh = np.flatnonzero(visited[idx >> 3] & bit == 0)
     np.bitwise_or.at(visited, idx[fresh] >> 3, bit[fresh])
-    return fresh, 1
+    return fresh
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -213,20 +212,18 @@ def test_mark_matches_bitwise_or_at(seed):
     expected = visited.copy()
     np.bitwise_or.at(expected, idx >> 3, np.left_shift(1, idx & 7).astype(np.uint8))
 
-    fresh, passes = _mark(visited, idx)
+    fresh = _mark(visited, idx)
     assert np.array_equal(fresh, np.flatnonzero(~was_set))
     assert np.array_equal(visited, expected)
-    # a pass sets one pending bit of each byte, so it takes as many
-    # passes as the most fresh states one byte holds
-    pending = np.bincount(idx[fresh] >> 3, minlength=nbytes)
-    assert passes == pending.max() <= MARK_PASS_LIMIT
-    assert passes == (8 if seed % 2 else 7)
 
 
 def test_mark_of_marked_states_writes_nothing():
     visited = np.array([0xFF, 0x0F], dtype=np.uint8)
-    fresh, passes = _mark(visited, np.arange(12, dtype=np.int64))
-    assert fresh.size == 0 and passes == 0
+    fresh = _mark(visited, np.arange(12, dtype=np.int64))
+    assert fresh.size == 0
+    assert visited.tolist() == [0xFF, 0x0F]
+    fresh = _mark(visited, np.empty(0, dtype=np.int64))  # no states at all
+    assert fresh.size == 0
     assert visited.tolist() == [0xFF, 0x0F]
 
 
@@ -274,21 +271,11 @@ def test_census_matches_recorded_digest():
 @pytest.mark.parametrize("g,n", [(2, 2), (3, 2), (3, 4)])
 def test_small_chunks_mark_as_bitwise_or_at(g, n, selector, monkeypatch):
     # small chunks are where fresh states of one row most often share a
-    # byte; each chunk size must give the run a one-pass bitwise_or.at
-    # marking gives, and every chunk size the same report
+    # byte; each chunk size must give the run a bitwise_or.at marking
+    # gives, and every chunk size the same report
     p = params(g, n)
     chunkings = ({"chunk_size": 1}, {"chunk_size": 8}, {})
-    passes = []
-
-    def counted_mark(visited, idx):
-        fresh, count = _mark(visited, idx)
-        passes.append(count)
-        return fresh, count
-
-    monkeypatch.setattr(orbits, "_mark", counted_mark)
     runs = [_recorded_run(p, selector, chunking) for chunking in chunkings]
-    if n > 2:  # at n = 2 no row here holds two fresh states of one byte
-        assert max(passes) > 1  # some bit was lost and written again
     monkeypatch.setattr(orbits, "_mark", _reference_mark)
     for chunking, run in zip(chunkings, runs):
         data, calls, parent, parent_gen = _recorded_run(p, selector, chunking)
@@ -296,6 +283,23 @@ def test_small_chunks_mark_as_bitwise_or_at(g, n, selector, monkeypatch):
         assert np.array_equal(run[2], parent), chunking
         assert np.array_equal(run[3], parent_gen), chunking
     assert runs[0][0] == runs[1][0] == runs[2][0]
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, None])
+@pytest.mark.parametrize("selector", [MOD, MOD_PM])
+@pytest.mark.parametrize("g,n", [(3, 4), (4, 3), (2, 6)])
+def test_each_state_is_fresh_exactly_once(g, n, selector, chunk_size):
+    # `_mark` adds the fresh bits, which equals OR-ing them only if no
+    # state is fresh twice: the hook batches are the fresh sets, so
+    # together they must hold every state of the space once
+    p = params(g, n, strict=False)
+    chunking = {} if chunk_size is None else {"chunk_size": chunk_size}
+    batches = []
+    enumerate_orbits(p, selector, record_paths=False,
+                     batch_hook=lambda ordinal, batch: batches.append(batch),
+                     **chunking)
+    counts = np.bincount(np.concatenate(batches), minlength=p.size)
+    assert counts.size == p.size and np.all(counts == 1)
 
 
 @pytest.mark.parametrize("argument", [{"thread_count": 0}, {"chunk_size": 0}])
