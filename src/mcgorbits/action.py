@@ -120,16 +120,36 @@ def _index_error(kind: str, index: int, g: int) -> ValueError:
     return ValueError(f"{kind}{index} out of range for genus {g} (max {top})")
 
 
+# maps of genus up to this are memoized; an entry's arrays hold 4g^2 + 2g
+# int64, at most 2.2 KB
+MEMO_MAX_GENUS = 8
+
+
 def generator_action(gen: Generator, params: SpaceParams) -> AffineMap:
     """Affine map of a single token, exponent included, read off
     `replay_tokens`: the translation is the image of 0, and column j of
-    the linear part is the image of e_j minus it."""
+    the linear part is the image of e_j minus it.
+
+    Maps are read-only, so up to genus `MEMO_MAX_GENUS` each (token,
+    params) is read once and kept, in a 1024-entry LRU (under 3 MB).
+    A larger map is read each time: its callers ask for it once per
+    census, and keeping it would hold up to 8 (2g)^2 bytes per token.
+    """
+    if params.g <= MEMO_MAX_GENUS:
+        return _kept_action(gen, params)
+    return _read_action(gen, params)
+
+
+def _read_action(gen: Generator, params: SpaceParams) -> AffineMap:
     g = params.g
     rows = [[0] * (2 * g)] + np.eye(2 * g, dtype=np.int64).tolist()
     for coords in rows:
         replay_tokens((gen,), coords, params.n, g)
     images = np.array(rows, dtype=np.int64)
     return AffineMap(params.n, (images[1:] - images[0]).T, images[0])
+
+
+_kept_action = lru_cache(maxsize=1024)(_read_action)
 
 
 def word_action(word: GeneratorWord, params: SpaceParams) -> AffineMap:

@@ -24,22 +24,41 @@ never merge, so the stage (i) prefix is one; the tail of stages (ii)
 and (iii) is simplified once, when it is memoized; the only merges left
 happen where the two meet, and `action._push` makes them there.
 
-Two memos, both bounded LRU caches, skip repeated work:
+Each call does only the work that depends on its own state; whatever
+depends on a memo key alone is done, and checked, once, when the entry
+is filled.  The memos are bounded LRU caches:
   - `_block_step` keeps, under (a, b, block, n), a block's stage (i)
-    tokens and the pair they send (a, b) to;
-  - `_tail` keeps, under (betas, g, n), the tail's tokens, the
-    coordinates they send (0, b_1, ..., 0, b_g) to, and the target t.
-    It holds at most 4096 entries of O(g) objects each (the key's g
-    betas, at most g + 6 tokens, 2g landing coordinates): tracemalloc
-    puts an entry at about 0.43 KB at (g, n) = (7, 30), 1.2 KB at
-    (26, 50) and 2.6 KB at (26, 1000), so at most about 11 MB there.
-Both find their landing coordinates by replaying their tokens through
-the scalar kernel of `action` when an entry is filled.  On every state,
-stage (i) must leave each alpha at 0 (the tail is keyed on the betas
-alone) and the tail must land on (0, ..., 0, t), or normalize raises
-AssertionError; with `verify=True` the whole certificate is also
-replayed from the input.  `_shift_word`, `sl2._euclid_word` and
-`action.make_token` are bounded LRU caches too.
+    tokens, built on their block by one Euclid pass
+    (`sl2._euclid_tokens`), and the pair they send (a, b) to.  It holds
+    at most 32768 entries of O(log n) tokens;
+  - `_tail` keeps, under (betas, g, n), the tail's tokens and the target
+    t.  It holds at most 4096 entries of O(g) objects each (the key's g
+    betas, at most g + 6 tokens): tracemalloc puts an entry, its key
+    included, at about 0.20 KB at (g, n) = (7, 30), 0.62 KB at (26, 50)
+    and 2.3 KB at (26, 1000), so at most about 9.3 MB there;
+  - `_canonical_form` keeps, under (params, target), the one
+    `CanonicalForm` of each class, which every state of the class
+    shares (the type is frozen).  It holds at most 256 entries of 2g
+    coordinates each;
+  - `_shift_word` (8192 entries) and `action.make_token` (16384) keep
+    the shift words and the interned tokens.
+Where each check runs:
+  - when a `_block_step` entry is filled: its pair must be residues in
+    [0, n), and the tokens are replayed through the scalar kernel of
+    `action` to find the pair they land on;
+  - when a `_tail` entry is filled: its betas must be residues, and the
+    tokens, replayed from (0, b_1, ..., 0, b_g), must land on
+    (0, ..., 0, t), or it raises AssertionError.  The landing and t are
+    fixed by the key, so this is the check every state with those betas
+    would make; an entry whose check raises is never cached;
+  - on every state: stage (i) must leave each alpha at 0 (the tail is
+    keyed on the betas alone), or it raises AssertionError; with
+    `verify=True` the whole certificate is replayed from the input.
+Every coordinate of a state reaches a memo key (a nonzero alpha and its
+beta in `_block_step`, the other betas in `_tail`), and no entry is
+filled for a key outside [0, n), so a state with a coordinate outside
+[0, n) raises ValueError naming those coordinates, at no cost to states
+in range.
 """
 
 from __future__ import annotations
@@ -51,7 +70,7 @@ from .action import (
     EMPTY_WORD, GeneratorWord, _push, apply_word, make_token, replay_tokens,
     simplify_word,
 )
-from .sl2 import clear_alpha, on_block
+from .sl2 import _euclid_tokens
 from .space import GnElement, SpaceParams
 
 
@@ -81,15 +100,36 @@ def _signed_exponent(e: int, n: int) -> int:
     return e - n if e > n // 2 else e
 
 
+@lru_cache(maxsize=256)
+def _canonical_form(params: SpaceParams, target: int) -> CanonicalForm:
+    """The canonical form (0, ..., 0, target), one instance per class."""
+    rep = GnElement(params, (0,) * (2 * params.g - 1) + (target,))
+    return CanonicalForm(rep, target)
+
+
+def _residue_error(x: GnElement):
+    """ValueError naming x's coordinates outside [0, n), or None."""
+    n = x.params.n
+    bad = [f"{'beta' if j % 2 else 'alpha'}_{j // 2 + 1} = {c}"
+           for j, c in enumerate(x.coords) if not 0 <= c < n]
+    if not bad:
+        return None
+    return ValueError(f"state {x} has coordinates outside [0, {n}): {', '.join(bad)}")
+
+
 @lru_cache(maxsize=32768)
 def _block_step(a: int, b: int, block: int, n: int) -> tuple:
     """Stage (i) on one block: the tokens of `clear_alpha((a, b), n)` on
     `block`, and the pair those tokens send (a, b) to.
 
-    The pair is found by replaying the tokens through the scalar kernel
-    when the entry is filled, so a hit applies none of them again.
+    The tokens come from one Euclid pass on their block, and the pair is
+    found by replaying them through the scalar kernel when the entry is
+    filled, so a hit applies none of them again.  A pair outside
+    [0, n) raises ValueError and is never cached.
     """
-    word_tokens = on_block(clear_alpha((a, b), n), block).tokens
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"({a}, {b}) is not a pair of residues mod {n}")
+    word_tokens = _euclid_tokens(a, b, block)
     coords = [0] * (2 * block - 2) + [a, b]
     replay_tokens(word_tokens, coords, n, block)
     return word_tokens, (coords[-2], coords[-1])
@@ -97,13 +137,17 @@ def _block_step(a: int, b: int, block: int, n: int) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _tail(betas: tuple, g: int, n: int) -> tuple:
-    """Stages (ii) and (iii) from (0, b_1, ..., 0, b_g): (tokens, landing, t).
+    """Stages (ii) and (iii) from (0, b_1, ..., 0, b_g): (tokens, t).
 
-    `tokens` is the multi-twist followed by the shift, in normal form;
-    `landing` is where they send (0, b_1, ..., 0, b_g), found by
-    replaying them through the scalar kernel when the entry is filled;
-    `t` is the last coordinate of the representative.
+    `tokens` is the multi-twist followed by the shift, in normal form,
+    and `t` is the last coordinate of the representative.  When the
+    entry is filled, the tokens are replayed from (0, b_1, ..., 0, b_g)
+    through the scalar kernel and must land on (0, ..., 0, t); if they
+    do not, AssertionError is raised and nothing is cached.  Betas
+    outside [0, n) raise ValueError, and are not cached either.
     """
+    if min(betas) < 0 or max(betas) >= n:
+        raise ValueError(f"betas {betas} are not residues mod {n}")
     tokens = []
     acc = 0
     for i in range(g - 1):
@@ -122,48 +166,58 @@ def _tail(betas: tuple, g: int, n: int) -> tuple:
     coords = [0] * (2 * g)
     coords[1::2] = betas
     replay_tokens(tokens, coords, n, g)
-    return tuple(tokens), tuple(coords), target
+    expected = [0] * (2 * g - 1) + [target]
+    if coords != expected:
+        raise AssertionError(
+            f"the tail from betas {betas} landed on {','.join(map(str, coords))}, "
+            f"expected {','.join(map(str, expected))}")
+    return tuple(tokens), target
 
 
 def normalize(x: GnElement, verify: bool = True):
     """Return (CanonicalForm, Certificate) for a state.
 
-    `verify=False` skips the final independent replay; bulk callers that
-    replay certificates themselves use it to avoid doing the work twice.
+    States of one class share one CanonicalForm instance.  A coordinate
+    outside [0, n) raises ValueError.  `verify=False` skips the final
+    independent replay; bulk callers that replay certificates themselves
+    use it to avoid doing the work twice.
     """
     params = x.params
     g, n = params.g, params.n
     if n == 1:
-        form = CanonicalForm(x, 0)
-        return form, Certificate(EMPTY_WORD, x, x)
+        if any(x.coords):
+            raise _residue_error(x)
+        form = _canonical_form(params, 0)
+        return form, Certificate(EMPTY_WORD, x, form.representative)
 
-    # stage (i): clear the alphas block by block
-    tokens: list = []
-    betas = list(x.coords[1::2])
-    for i, a in enumerate(x.coords[0::2]):
-        if a != 0:
-            block_tokens, (a, betas[i]) = _block_step(a, betas[i], i + 1, n)
+    try:
+        # stage (i): clear the alphas block by block
+        tokens: list = []
+        betas = list(x.coords[1::2])
+        for i, a in enumerate(x.coords[0::2]):
             if a != 0:
-                raise AssertionError(
-                    f"stage (i) left alpha_{i + 1} = {a} in the reduction of {x}")
-            tokens += block_tokens
+                block_tokens, (a, betas[i]) = _block_step(a, betas[i], i + 1, n)
+                if a != 0:
+                    raise AssertionError(
+                        f"stage (i) left alpha_{i + 1} = {a} in the reduction of {x}")
+                tokens += block_tokens
+        # stages (ii) and (iii), landing checked when the entry was filled
+        tail, target = _tail(tuple(betas), g, n)
+    except ValueError:
+        error = _residue_error(x)
+        if error is None:
+            raise
+        raise error from None
 
-    # stages (ii) and (iii); both parts are in normal form, so merges can
-    # only start where they meet
-    tail, landing, target = _tail(tuple(betas), g, n)
+    # both parts are in normal form, so merges can only start where they meet
     if tokens and tail and tokens[-1].kind == tail[0].kind \
             and tokens[-1].index == tail[0].index:
         _push(tokens, tail)
     else:
         tokens += tail
 
-    rep = GnElement(params, landing)
-    expected = (0,) * (2 * g - 1) + (target,)
-    if landing != expected:
-        raise AssertionError(
-            f"normalization of {x} landed on {rep}, expected {expected}")
-    form = CanonicalForm(rep, target)
-    cert = Certificate(GeneratorWord(tuple(tokens)), x, rep)
+    form = _canonical_form(params, target)
+    cert = Certificate(GeneratorWord(tuple(tokens)), x, form.representative)
     if verify and not cert.replays():
         raise AssertionError(f"certificate for {x} does not replay")
     return form, cert

@@ -14,7 +14,8 @@ matrices are read off the block slice of `action.generator_action`,
 Pair words are built in closed form, with no tables: `clear_alpha`
 runs the Euclidean algorithm on the integer representatives of (a, b),
 one power token per division step, so its words have O(log n) tokens.
-The normalizer's block moves are these words.  `solve_pair` joins two
+The normalizer's block moves are these words, built by the same pass
+(`_euclid_tokens`) directly on their block.  `solve_pair` joins two
 of them through the point (0, gcd(a, b, n)) that every pair of that
 content reaches, so SL(2, Z/nZ) is transitive on each content class.
 Breadth-first search over the group (`generate_sl2`) gives shortest
@@ -34,7 +35,6 @@ from .space import SpaceParams
 # the letters L, L^-1, R, R^-1 as block-1 tokens
 _LETTERS = tuple(make_token(kind, 1, e)
                  for kind, e in (("A", 1), ("A", -1), ("B", 1), ("B", -1)))
-_L_INV, _R_INV = _LETTERS[1], _LETTERS[3]
 
 
 @lru_cache(maxsize=128)
@@ -76,38 +76,39 @@ def clear_alpha(pair, n: int) -> GeneratorWord:
     """
     if n == 1:
         return EMPTY_WORD
-    return _euclid_word(pair[0] % n, pair[1] % n)
+    return GeneratorWord(_euclid_tokens(pair[0] % n, pair[1] % n, 1))
 
 
-@lru_cache(maxsize=65536)
-def _euclid_word(a: int, b: int) -> GeneratorWord:
-    """Euclidean reduction of the integer pair (a, b) >= 0 to (0, gcd).
+def _euclid_tokens(a: int, b: int, block: int) -> tuple:
+    """Euclidean reduction of the integer pair (a, b) >= 0 to (0, gcd), as
+    tokens of the given 1-based block.
 
-    R^-q = B_1^-q sends (a, b) to (a - q*b, b) and L^q = A_1^q sends
-    (a, b) to (a, b - q*a), so each division step is one power token.
-    Every intermediate pair stays in [0, max(a, b)], so the word acts
-    the same modulo any n above both entries.  A start (d, 0) takes L^-1 R^-1:
+    R^-q = B^-q sends (a, b) to (a - q*b, b) and L^q = A^q sends (a, b)
+    to (a, b - q*a), so each division step is one power token.  Every
+    intermediate pair stays in [0, max(a, b)], so the word acts the same
+    modulo any n above both entries.  A start (d, 0) takes L^-1 R^-1:
     (d, 0) -> (d, d) -> (0, d).  A reduction whose last step L^q reaches
     (d, 0) ends L^(q-1) R^-1 instead: the power one short stops at
     (d, d), and q >= 2 there because d | b with 0 < d < b.  So letters
     alternate and every power is >= 1: the word is already in the
-    normal form of `action.simplify_word`.
+    normal form of `action.simplify_word`.  The tokens are built on
+    their block, so the normalizer's stage (i) needs no relabelling.
     """
     tokens = []
     while a and b:
         if a >= b:
             q, a = divmod(a, b)
-            tokens.append(make_token("B", 1, -q))
+            tokens.append(make_token("B", block, -q))
         else:
             q, b = divmod(b, a)
-            tokens.append(make_token("A", 1, q))
+            tokens.append(make_token("A", block, q))
     if a:
         if tokens:
-            tokens[-1] = make_token("A", 1, q - 1)
+            tokens[-1] = make_token("A", block, q - 1)
         else:
-            tokens.append(_L_INV)
-        tokens.append(_R_INV)
-    return GeneratorWord(tuple(tokens))
+            tokens.append(make_token("A", block, -1))
+        tokens.append(make_token("B", block, -1))
+    return tuple(tokens)
 
 
 def _content_word(pair, n: int) -> GeneratorWord:

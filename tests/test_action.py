@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcgorbits.action import (
-    EMPTY_WORD, Generator, GeneratorWord, WordSyntaxError, apply_word,
-    format_word, generator_action, make_token, parse_word, replay_tokens,
-    word_action,
+    EMPTY_WORD, MEMO_MAX_GENUS, Generator, GeneratorWord, WordSyntaxError,
+    _read_action, apply_word, format_word, generator_action, make_token,
+    parse_word, replay_tokens, word_action,
 )
 from mcgorbits.space import (
     AffineMap, SpaceParams, apply_affine, compose, make_element, zero_element,
@@ -70,6 +70,21 @@ def test_generator_action_matches_reference():
                     assert str(err.value) == str(exc), (g, n, str(token))
                 else:
                     assert generator_action(token, p) == expected, (g, n, str(token))
+
+
+@pytest.mark.parametrize("g", [2, MEMO_MAX_GENUS, MEMO_MAX_GENUS + 1])
+def test_generator_action_maps_are_kept_read_only(g):
+    p = params(g, 5)
+    for token in (Generator("A", 1, 2), Generator("C", g - 1, -1), Generator("s")):
+        kept = generator_action(token, p)
+        assert kept == _read_action(token, p)
+        assert (generator_action(token, p) is kept) == (g <= MEMO_MAX_GENUS)
+        for array in (kept.linear, kept.translation):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert apply_affine(kept, zero_element(p)) == apply_word(
+            GeneratorWord((token,)), zero_element(p))
 
 
 def test_c_twist_on_zero():

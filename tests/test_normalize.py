@@ -17,7 +17,7 @@ from mcgorbits.normalize import (
 )
 from mcgorbits.sl2 import clear_alpha, on_block, on_pair
 from mcgorbits.space import (
-    SpaceParams, apply_affine, decode, make_element, zero_element,
+    GnElement, SpaceParams, apply_affine, decode, make_element, zero_element,
 )
 
 
@@ -212,6 +212,52 @@ def test_stray_alpha_raises(monkeypatch, fresh_tail):
     with pytest.raises(AssertionError, match="stage \\(i\\) left alpha_2 = 1"):
         normalize(make_element(p, [0, 1, 2, 3, 0, 4]))
     assert _tail.cache_info().currsize == 0
+
+
+def test_failed_tail_landing_is_not_cached(monkeypatch, fresh_tail):
+    # the landing check runs when a tail entry is filled, so an entry that
+    # fails it must not be kept for the next state with the same betas
+    module = importlib.import_module("mcgorbits.normalize")
+    monkeypatch.setattr(module, "_shift_word", lambda *args: EMPTY_WORD)
+    p = params(3, 5)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="landed on 0,0,0,0,0,3, expected"):
+            normalize(make_element(p, [1, 0, 0, 1, 0, 1]))
+    assert _tail.cache_info().currsize == 0
+
+
+def test_states_of_one_class_share_one_canonical_form():
+    for g, n in ((2, 4), (3, 3), (4, 6)):
+        p = params(g, n)
+        rng = random.Random(g * n)
+        forms = {}
+        for _ in range(50):
+            x = make_element(p, [rng.randrange(n) for _ in range(2 * g)])
+            form, cert = normalize(x)
+            assert forms.setdefault(form.parity_class, form) is form
+            assert cert.target is form.representative
+        assert len(forms) == (1 if n % 2 else 2)
+    # the same classes in a non-strict copy of the space are its own forms
+    strict, loose = SpaceParams(2, 2), params(2, 2)
+    a, b = (normalize(zero_element(q))[0] for q in (strict, loose))
+    assert a.representative.params == strict and b.representative.params == loose
+
+
+@pytest.mark.parametrize("g, n, coords, named", [
+    (2, 2, (0, 0, 0, 5), "beta_2 = 5"),
+    # the tail would reduce this beta and land on (0, 0, 0, 0) unchecked
+    (2, 5, (0, 7, 0, 0), "beta_1 = 7"),
+    (2, 5, (7, 1, 0, 0), "alpha_1 = 7"),
+    (2, 5, (1, -1, 0, 0), "beta_1 = -1"),
+    (3, 4, (4, 0, 0, 9, 0, 0), "alpha_1 = 4, beta_2 = 9"),
+    (2, 1, (0, 0, 1, 0), "alpha_2 = 1"),
+])
+def test_coordinates_outside_residues_raise(g, n, coords, named):
+    x = GnElement(params(g, n), coords)
+    # a refused key is never cached, so the second call is refused too
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"outside \\[0, {n}\\): {named}$"):
+            normalize(x)
 
 
 def _reference_word(x):
