@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .space import AffineMap, GnElement, SpaceParams, compose
+from .space import AffineMap, GnElement, SpaceParams, _residues, compose
 
 KINDS = ("A", "B", "C", "D", "s")
 
@@ -197,12 +197,13 @@ def apply_word(word: GeneratorWord, x: GnElement) -> GnElement:
     """Replay a word on an element, first token first.
 
     Raises ValueError on the first token whose index does not exist in
-    x's genus; x itself is never modified.
+    x's genus; x itself is never modified.  Every coordinate the kernel
+    writes is reduced mod n, so the image skips `GnElement`'s range check.
     """
     params = x.params
     coords = list(x.coords)
     replay_tokens(word.tokens, coords, params.n, params.g)
-    return GnElement(params, tuple(coords))
+    return _residues(params, tuple(coords))
 
 
 _TOKEN_RE = re.compile(r"([ABCD])([0-9]+)(?:\^(-?[0-9]+))?$|s$")

@@ -43,22 +43,18 @@ is filled.  The memos are bounded LRU caches:
   - `_shift_word` (8192 entries) and `action.make_token` (16384) keep
     the shift words and the interned tokens.
 Where each check runs:
-  - when a `_block_step` entry is filled: its pair must be residues in
-    [0, n), and the tokens are replayed through the scalar kernel of
-    `action` to find the pair they land on;
-  - when a `_tail` entry is filled: its betas must be residues, and the
-    tokens, replayed from (0, b_1, ..., 0, b_g), must land on
-    (0, ..., 0, t), or it raises AssertionError.  The landing and t are
-    fixed by the key, so this is the check every state with those betas
-    would make; an entry whose check raises is never cached;
+  - when the input is built: `GnElement` refuses a coordinate outside
+    [0, n), so every memo key is a residue and no stage checks it again;
+  - when a `_block_step` entry is filled: the tokens are replayed
+    through the scalar kernel of `action` to find the pair they land on;
+  - when a `_tail` entry is filled: the tokens, replayed from
+    (0, b_1, ..., 0, b_g), must land on (0, ..., 0, t), or it raises
+    AssertionError.  The landing and t are fixed by the key, so this is
+    the check every state with those betas would make; an entry whose
+    check raises is never cached;
   - on every state: stage (i) must leave each alpha at 0 (the tail is
     keyed on the betas alone), or it raises AssertionError; with
     `verify=True` the whole certificate is replayed from the input.
-Every coordinate of a state reaches a memo key (a nonzero alpha and its
-beta in `_block_step`, the other betas in `_tail`), and no entry is
-filled for a key outside [0, n), so a state with a coordinate outside
-[0, n) raises ValueError naming those coordinates, at no cost to states
-in range.
 """
 
 from __future__ import annotations
@@ -67,8 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .action import (
-    EMPTY_WORD, GeneratorWord, _push, apply_word, make_token, replay_tokens,
-    simplify_word,
+    GeneratorWord, _push, apply_word, make_token, replay_tokens, simplify_word,
 )
 from .sl2 import _euclid_tokens
 from .space import GnElement, SpaceParams
@@ -107,16 +102,6 @@ def _canonical_form(params: SpaceParams, target: int) -> CanonicalForm:
     return CanonicalForm(rep, target)
 
 
-def _residue_error(x: GnElement):
-    """ValueError naming x's coordinates outside [0, n), or None."""
-    n = x.params.n
-    bad = [f"{'beta' if j % 2 else 'alpha'}_{j // 2 + 1} = {c}"
-           for j, c in enumerate(x.coords) if not 0 <= c < n]
-    if not bad:
-        return None
-    return ValueError(f"state {x} has coordinates outside [0, {n}): {', '.join(bad)}")
-
-
 @lru_cache(maxsize=32768)
 def _block_step(a: int, b: int, block: int, n: int) -> tuple:
     """Stage (i) on one block: the tokens of `clear_alpha((a, b), n)` on
@@ -124,11 +109,8 @@ def _block_step(a: int, b: int, block: int, n: int) -> tuple:
 
     The tokens come from one Euclid pass on their block, and the pair is
     found by replaying them through the scalar kernel when the entry is
-    filled, so a hit applies none of them again.  A pair outside
-    [0, n) raises ValueError and is never cached.
+    filled, so a hit applies none of them again.
     """
-    if not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"({a}, {b}) is not a pair of residues mod {n}")
     word_tokens = _euclid_tokens(a, b, block)
     coords = [0] * (2 * block - 2) + [a, b]
     replay_tokens(word_tokens, coords, n, block)
@@ -143,11 +125,8 @@ def _tail(betas: tuple, g: int, n: int) -> tuple:
     and `t` is the last coordinate of the representative.  When the
     entry is filled, the tokens are replayed from (0, b_1, ..., 0, b_g)
     through the scalar kernel and must land on (0, ..., 0, t); if they
-    do not, AssertionError is raised and nothing is cached.  Betas
-    outside [0, n) raise ValueError, and are not cached either.
+    do not, AssertionError is raised and nothing is cached.
     """
-    if min(betas) < 0 or max(betas) >= n:
-        raise ValueError(f"betas {betas} are not residues mod {n}")
     tokens = []
     acc = 0
     for i in range(g - 1):
@@ -177,37 +156,24 @@ def _tail(betas: tuple, g: int, n: int) -> tuple:
 def normalize(x: GnElement, verify: bool = True):
     """Return (CanonicalForm, Certificate) for a state.
 
-    States of one class share one CanonicalForm instance.  A coordinate
-    outside [0, n) raises ValueError.  `verify=False` skips the final
-    independent replay; bulk callers that replay certificates themselves
-    use it to avoid doing the work twice.
+    States of one class share one CanonicalForm instance.  `verify=False`
+    skips the final independent replay; bulk callers that replay
+    certificates themselves use it to avoid doing the work twice.
     """
     params = x.params
     g, n = params.g, params.n
-    if n == 1:
-        if any(x.coords):
-            raise _residue_error(x)
-        form = _canonical_form(params, 0)
-        return form, Certificate(EMPTY_WORD, x, form.representative)
-
-    try:
-        # stage (i): clear the alphas block by block
-        tokens: list = []
-        betas = list(x.coords[1::2])
-        for i, a in enumerate(x.coords[0::2]):
+    # stage (i): clear the alphas block by block
+    tokens: list = []
+    betas = list(x.coords[1::2])
+    for i, a in enumerate(x.coords[0::2]):
+        if a != 0:
+            block_tokens, (a, betas[i]) = _block_step(a, betas[i], i + 1, n)
             if a != 0:
-                block_tokens, (a, betas[i]) = _block_step(a, betas[i], i + 1, n)
-                if a != 0:
-                    raise AssertionError(
-                        f"stage (i) left alpha_{i + 1} = {a} in the reduction of {x}")
-                tokens += block_tokens
-        # stages (ii) and (iii), landing checked when the entry was filled
-        tail, target = _tail(tuple(betas), g, n)
-    except ValueError:
-        error = _residue_error(x)
-        if error is None:
-            raise
-        raise error from None
+                raise AssertionError(
+                    f"stage (i) left alpha_{i + 1} = {a} in the reduction of {x}")
+            tokens += block_tokens
+    # stages (ii) and (iii), landing checked when the entry was filled
+    tail, target = _tail(tuple(betas), g, n)
 
     # both parts are in normal form, so merges can only start where they meet
     if tokens and tail and tokens[-1].kind == tail[0].kind \

@@ -6,6 +6,12 @@ of (Z/nZ)^(2g) with coordinates ordered (alpha_1, beta_1, ..., alpha_g,
 beta_g).  Mapping classes act on this space by invertible affine maps over
 Z/nZ; this module holds the space parameters, its elements, affine maps,
 and the mixed-radix indexing used by the exhaustive search code.
+
+A `GnElement` refuses a coordinate outside [0, n) with ValueError, so
+`encode`, `apply_word` and the normalizer see residues only.  `decode`
+(by `divmod`) and `action.apply_word` (by `% n`) make residues by
+construction and skip the check through `_residues`: the exhaustive
+checks build millions of states there, and the check would double each.
 """
 
 from __future__ import annotations
@@ -55,7 +61,11 @@ class SpaceParams:
 
 @dataclass(frozen=True)
 class GnElement:
-    """A state: 2g residues in [0, n), ordered alpha_1, beta_1, ..."""
+    """A state: 2g residues in [0, n), ordered alpha_1, beta_1, ...
+
+    Any other coordinate raises ValueError naming it (`make_element`
+    reduces mod n); only `decode` and `apply_word` skip the check.
+    """
 
     params: SpaceParams
     coords: tuple
@@ -64,6 +74,12 @@ class GnElement:
         if len(self.coords) != self.params.dim:
             raise DimensionError(
                 f"expected {self.params.dim} coordinates, got {len(self.coords)}")
+        coords, n = self.coords, self.params.n
+        if min(coords) < 0 or max(coords) >= n:
+            bad = [f"{'beta' if j % 2 else 'alpha'}_{j // 2 + 1} = {c}"
+                   for j, c in enumerate(coords) if not 0 <= c < n]
+            raise ValueError(
+                f"state {self} has coordinates outside [0, {n}): {', '.join(bad)}")
 
     def block(self, i: int) -> tuple:
         """(alpha_i, beta_i), 1-based."""
@@ -71,6 +87,18 @@ class GnElement:
 
     def __str__(self):
         return ",".join(str(c) for c in self.coords)
+
+
+def _residues(params: SpaceParams, coords: tuple) -> GnElement:
+    """GnElement of coordinates that are residues by construction, unchecked.
+
+    Fields are set as the generated `__init__` sets them: writing
+    `__dict__` directly would cost later attribute reads their fast path.
+    """
+    x = object.__new__(GnElement)
+    object.__setattr__(x, "params", params)
+    object.__setattr__(x, "coords", coords)
+    return x
 
 
 def make_element(params: SpaceParams, values) -> GnElement:
@@ -174,7 +202,7 @@ def decode(index: int, params: SpaceParams) -> GnElement:
     for _ in range(params.dim):
         index, c = divmod(index, params.n)
         coords.append(c)
-    return GnElement(params, tuple(coords))
+    return _residues(params, tuple(coords))
 
 
 def decode_array(indices, params: SpaceParams) -> np.ndarray:

@@ -17,7 +17,7 @@ from mcgorbits.normalize import (
 )
 from mcgorbits.sl2 import clear_alpha, on_block, on_pair
 from mcgorbits.space import (
-    GnElement, SpaceParams, apply_affine, decode, make_element, zero_element,
+    SpaceParams, apply_affine, decode, make_element, zero_element,
 )
 
 
@@ -241,23 +241,6 @@ def test_states_of_one_class_share_one_canonical_form():
     strict, loose = SpaceParams(2, 2), params(2, 2)
     a, b = (normalize(zero_element(q))[0] for q in (strict, loose))
     assert a.representative.params == strict and b.representative.params == loose
-
-
-@pytest.mark.parametrize("g, n, coords, named", [
-    (2, 2, (0, 0, 0, 5), "beta_2 = 5"),
-    # the tail would reduce this beta and land on (0, 0, 0, 0) unchecked
-    (2, 5, (0, 7, 0, 0), "beta_1 = 7"),
-    (2, 5, (7, 1, 0, 0), "alpha_1 = 7"),
-    (2, 5, (1, -1, 0, 0), "beta_1 = -1"),
-    (3, 4, (4, 0, 0, 9, 0, 0), "alpha_1 = 4, beta_2 = 9"),
-    (2, 1, (0, 0, 1, 0), "alpha_2 = 1"),
-])
-def test_coordinates_outside_residues_raise(g, n, coords, named):
-    x = GnElement(params(g, n), coords)
-    # a refused key is never cached, so the second call is refused too
-    for _ in range(2):
-        with pytest.raises(ValueError, match=f"outside \\[0, {n}\\): {named}$"):
-            normalize(x)
 
 
 def _reference_word(x):

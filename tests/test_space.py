@@ -8,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcgorbits.space import (
-    AffineMap, DimensionError, SpaceParams, apply_affine, compose, decode,
-    decode_array, encode, make_element, parse_element, zero_element,
+    AffineMap, DimensionError, GnElement, SpaceParams, apply_affine, compose,
+    decode, decode_array, encode, make_element, parse_element, zero_element,
 )
-from mcgorbits.action import Generator, generator_action
+from mcgorbits.action import Generator, GeneratorWord, apply_word, generator_action
 
 
 def test_params_validation():
@@ -156,6 +157,65 @@ def test_encode_decode_round_trip_random_large():
     for _ in range(200):
         x = make_element(p, [rng.randrange(4) for _ in range(10)])
         assert decode(encode(x), p) == x
+
+
+@pytest.mark.parametrize("coords, named", [
+    ((0, 0, 0, 5), "beta_2 = 5"),
+    ((-1, 0, 0, 0), "alpha_1 = -1"),
+])
+def test_element_refuses_coordinates_outside_residues(coords, named):
+    # encode would index past the space, and apply_word would carry the
+    # coordinate along; the count is checked first, the range after it
+    p = SpaceParams(2, 2)
+    with pytest.raises(ValueError, match=f"outside \\[0, 2\\): {named}$") as err:
+        GnElement(p, coords)
+    assert not isinstance(err.value, DimensionError)
+    with pytest.raises(DimensionError):
+        GnElement(p, ())
+
+
+@pytest.mark.parametrize("g, n, coords, named", [
+    (2, 2, (0, 0, 0, 5), "beta_2 = 5"),
+    # normalize's tail would reduce this beta and land on (0, 0, 0, 0) unchecked
+    (2, 5, (0, 7, 0, 0), "beta_1 = 7"),
+    (2, 5, (7, 1, 0, 0), "alpha_1 = 7"),
+    (2, 5, (1, -1, 0, 0), "beta_1 = -1"),
+    (3, 4, (4, 0, 0, 9, 0, 0), "alpha_1 = 4, beta_2 = 9"),
+    (2, 1, (0, 0, 1, 0), "alpha_2 = 1"),
+])
+def test_coordinates_outside_residues_raise(g, n, coords, named):
+    with pytest.raises(ValueError, match=f"outside \\[0, {n}\\): {named}$"):
+        GnElement(SpaceParams(g, n, strict_euler=False), coords)
+
+
+@st.composite
+def _index_and_word(draw):
+    g = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 12))
+    p = SpaceParams(g, n, strict_euler=False)
+    tokens = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from("ABCDs"))
+        if kind == "s":
+            tokens.append(Generator("s"))
+        else:
+            top = g if kind in "AB" else g - 1
+            exponent = draw(st.integers(-3 * n - 3, 3 * n + 3).filter(bool))
+            tokens.append(Generator(kind, draw(st.integers(1, top)), exponent))
+    return p, draw(st.integers(0, p.size - 1)), GeneratorWord(tuple(tokens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_index_and_word())
+def test_unchecked_builders_make_residues(case):
+    # decode and apply_word skip GnElement's range check; each of their
+    # states must pass it when rebuilt
+    p, index, word = case
+    x = decode(index, p)
+    y = apply_word(word, x)
+    for z in (x, y):
+        assert all(type(c) is int for c in z.coords)
+        assert GnElement(z.params, z.coords) == z
 
 
 def test_array_codec_agrees_with_scalar():
