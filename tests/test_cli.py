@@ -342,6 +342,54 @@ def test_cocycle_json_is_unchanged(capsys, genus):
     assert hashlib.sha256(out.encode()).hexdigest() == COCYCLE_SHA256[genus]
 
 
+# sha256 of stdout inside the regime, with the orbits JSON's elapsed_ms
+# line dropped: (argv, digest)
+COMMAND_SHA256 = {
+    "classify-text": (
+        ("classify", "--g", "2", "--n", "2", "--element", "1,1,1,1"),
+        "c18bb351a62d61eafa6d5d25d19770e5a731a2aad6d2c1830b13b76d9516b92a"),
+    "classify-json": (
+        ("classify", "--g", "3", "--n", "4", "--element", "1,2,3,0,1,1",
+         "--format", "json"),
+        "4d7b48f9ef6db536ed8608074fafa152f1aa66c109993855ecd07307f1369c3a"),
+    "classify-odd-text": (
+        ("classify", "--g", "4", "--n", "3", "--element", "1,2,0,1,2,2,0,1"),
+        "5a93cc66c34e523f6ce078a2dccbe6d933bdb07e629e46ca3fa272cf61a6803e"),
+    "normalize-text": (
+        ("normalize", "--g", "3", "--n", "4", "--element", "1,2,3,0,1,1"),
+        "37711367944451b16f349adcde0a64c73752d95a752159e63a99bbba9e61c689"),
+    "normalize-json": (
+        ("normalize", "--g", "4", "--n", "3", "--element", "1,2,0,1,2,2,0,1",
+         "--format", "json"),
+        "841b8d771ed3dcce8af18a1ad9ca68ce50f20d8181cd43acd12ecf518336e02f"),
+    "apply-text": (
+        ("apply", "--g", "3", "--n", "4", "--element", "1,2,3,0,1,1",
+         "--word", "A1 B2^-1 C1^3 s"),
+        "82948ce28fa76742e85111db6c563019b426a87cdfde3d9a756d1812ae4b448d"),
+    "apply-json": (
+        ("apply", "--g", "2", "--n", "2", "--element", "0,0,0,0",
+         "--word", "C1", "--format", "json"),
+        "f6efdbb32d2c987f21de88ab99f4106f1acd0dcdbebd05c28c3e7088568563d2"),
+    "orbits-json": (
+        ("orbits", "--g", "3", "--n", "2", "--gens", "mod_pm", "--format", "json"),
+        "a40ce851ca74ad42ecd817ef8c186e9d4207d7e816c4c368cc6f66af995c2f98"),
+    "orbits-csv": (
+        ("orbits", "--g", "4", "--n", "3", "--format", "csv"),
+        "7a6bff53ce4e4947634f7b29b661a36066b60b03389bb06b6899a948bed51a25"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_SHA256))
+def test_command_output_is_unchanged(capsys, case):
+    # inside the regime nothing goes to stderr, the watermark included
+    argv, digest = COMMAND_SHA256[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith('  "elapsed_ms": '))
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+
 def test_verify_cocycle_rejects_products_lost_to_rounding(capsys):
     # long genus-4 words have entries so large that a product's
     # determinant rounds to 0: that sample is ill-conditioned, not a crash
