@@ -17,7 +17,7 @@ from .action import (
     generator_action, parse_word, word_action,
 )
 from .sl2 import clear_alpha, generate_sl2, sl2_group_order, solve_pair
-from .invariants import beta_sum, block_content, vanishing_number
+from .invariants import block_content, vanishing_number
 from .normalize import CanonicalForm, Certificate, normalize, same_orbit
 from .orbits import GeneratorSet, OrbitReport, enumerate_orbits, trace_path
 from .euler import FuchsianGroup, cocycle, relator_euler_number, sigma0_lift, standard_group

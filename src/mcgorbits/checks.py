@@ -20,8 +20,6 @@ from .space import SpaceParams, decode_array, make_element
 
 # states decoded per call while a vanishing table is built
 TABLE_CHUNK = 1 << 10
-# largest distance of a sampled cocycle value from its integer
-COCYCLE_RESIDUAL_BOUND = 1e-6
 
 
 def theorem_cases(max_states: float):
@@ -64,18 +62,18 @@ def vanishing_table(params: SpaceParams) -> np.ndarray:
     return table
 
 
-def vanishing_bounds(params: SpaceParams, selector, values) -> dict:
+def vanishing_bounds(params: SpaceParams, selector, table: np.ndarray) -> dict:
     """{orbit ordinal: (lo, hi)} of the vanishing numbers on each orbit.
 
-    Runs the census with a batch hook; `values(batch)` gives the
-    vanishing numbers of a batch of state indices.  Every state reaches
-    the hook, so there is one entry per orbit, and lo == hi exactly when
-    the vanishing number is constant on that orbit.
+    Runs the census with a batch hook that looks each state up in
+    `table`, the space's `vanishing_table`.  Every state reaches the
+    hook, so there is one entry per orbit, and lo == hi exactly when the
+    vanishing number is constant on that orbit.
     """
     bounds = {}
 
     def hook(ordinal, batch):
-        v = values(batch)
+        v = table.take(batch)
         lo, hi = int(v.min()), int(v.max())
         if ordinal in bounds:
             lo = min(lo, bounds[ordinal][0])
@@ -104,7 +102,7 @@ def aprime_cocycle(group: euler.FuchsianGroup) -> int:
 
 
 class CocycleSampleCheck(NamedTuple):
-    in_range: bool     # value in {-1, 0, 1}, residual below the bound
+    in_range: bool     # value in {-1, 0, 1}, residual below euler.TOLERANCE
     crosses: bool      # the axes of w1 and w2 cross transversely
     crossing_ok: bool  # the value is 0 where the axes cross
 
@@ -121,5 +119,5 @@ def cocycle_sample(group: euler.FuchsianGroup, w1, w2,
     except euler.IllConditionedError:
         crosses = False
     return CocycleSampleCheck(
-        value.value in (-1, 0, 1) and value.residual < COCYCLE_RESIDUAL_BOUND,
+        value.value in (-1, 0, 1) and value.residual < euler.TOLERANCE,
         crosses, not crosses or value.value == 0)

@@ -2,9 +2,10 @@
 
 Every printed certificate is replay-verified first.  Runs outside the
 n | 2g-2 regime are permitted only with --allow-invalid-euler and are
-watermarked in the output.  Verification suites exit nonzero on any
-failed check and print one line per check; the checks themselves live
-in `checks`, which the acceptance tests run too.
+watermarked in the output, or on stderr where the output format has no
+place for it.  Verification suites exit nonzero on any failed check and
+print one line per check; the checks themselves live in `checks`, which
+the acceptance tests run too.
 """
 
 from __future__ import annotations
@@ -87,6 +88,12 @@ def _regime(params: SpaceParams) -> str:
     return "outside n | 2g-2 regime"
 
 
+def _warn_outside(params: SpaceParams) -> None:
+    """Watermark on stderr, for output formats with no place for it."""
+    if _regime(params) != "n divides 2g-2":
+        print(f"warning: {_regime(params)}", file=sys.stderr)
+
+
 def _normalized(args):
     """The space, the element, and its canonical form and certificate.
 
@@ -138,6 +145,7 @@ def cmd_orbits(args) -> int:
     if args.format == "json":
         print(json.dumps(data, indent=2))
     elif args.format == "csv":
+        _warn_outside(params)
         sys.stdout.write(report.to_csv())
     else:
         print(f"g={params.g} n={params.n} generators={args.gens} "
@@ -163,6 +171,7 @@ def cmd_normalize(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
+        _warn_outside(params)
         print(f"canonical     {form.representative}")
         print(f"certificate   {cert.word}")
     return 0
@@ -176,6 +185,7 @@ def cmd_apply(args) -> int:
         y = apply_word(word, x)
     except (WordSyntaxError, ValueError) as exc:
         raise CliError(str(exc)) from None
+    _warn_outside(params)
     if args.format == "json":
         print(json.dumps({"element": list(x.coords), "word": args.word,
                           "image": list(y.coords)}))
@@ -246,7 +256,7 @@ def suite_invariants(args, chk: Checker) -> None:
         params = SpaceParams(g, n)
         table = checks.vanishing_table(params)
         for selector in (MOD, MOD_PM):
-            bounds = checks.vanishing_bounds(params, selector, table.take)
+            bounds = checks.vanishing_bounds(params, selector, table)
             chk.check_true(
                 f"invariants g={g} n={n} {selector} vanishing constant per orbit",
                 all(lo == hi for lo, hi in bounds.values()))

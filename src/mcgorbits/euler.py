@@ -53,6 +53,15 @@ class SamplingCapError(RuntimeError):
 # a sampling loop draws at most this many pairs per sample it must accept
 MAX_DRAWS_PER_SAMPLE = 20
 
+# A matrix within TOLERANCE of +-I is the identity of the line, a sampled
+# cocycle value must lie within it of an integer, and the relator must
+# close within it.
+TOLERANCE = 1e-6
+
+# translation numbers iterate a lift this often from this angle
+TRANSLATION_ITERATIONS = 64
+TRANSLATION_START = 0.383
+
 
 # --- plane hyperbolic geometry helpers (upper half-plane, SL(2,R)) ----------
 
@@ -119,16 +128,12 @@ def _projective_distance(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LiftedCircleMap:
-    """A lift to the line of the projective action of `matrix`.
-
-    `deck` counts deck shifts: this lift equals the canonical
-    fixed-point lift plus deck * pi.  For (projectively) identity
-    matrices the canonical lift is the identity of the line.
+    """The canonical fixed-point lift to the line of the projective
+    action of `matrix`.  A matrix within TOLERANCE of +-I lifts to the
+    identity of the line.
     """
 
     matrix: np.ndarray
-    deck: int = 0
-    tolerance: float = 1e-9
 
     def _kept(self, name: str, compute):
         """compute(matrix), worked out on first use and kept under `name`;
@@ -145,11 +150,11 @@ class LiftedCircleMap:
         return self._kept("_fixed_angles", fixed_angles)
 
     def is_trivial(self) -> bool:
-        return self._kept("_trivial", lambda m: _projective_distance(m) < self.tolerance)
+        return self._kept("_trivial", lambda m: _projective_distance(m) < TOLERANCE)
 
     def __call__(self, t: float) -> float:
         if self.is_trivial():
-            return t + self.deck * PI
+            return t
         m = self.matrix
         plus, minus = self.fixed_angles
         x = (t - plus) % PI
@@ -162,39 +167,39 @@ class LiftedCircleMap:
             raw -= PI
         elif x > xm and raw < xm / 2:
             raw += PI
-        return plus + k * PI + raw + self.deck * PI
+        return plus + k * PI + raw
 
-    def translation_number(self, iterations: int = 64, start: float = 0.383) -> float:
-        """Poincare average with one Richardson step; kpi for deck shifts."""
-        t = start
-        for _ in range(iterations):
+    def translation_number(self) -> float:
+        """Poincare average with one Richardson step."""
+        t = TRANSLATION_START
+        for _ in range(TRANSLATION_ITERATIONS):
             t = self(t)
-        half = (t - start) / iterations
+        half = (t - TRANSLATION_START) / TRANSLATION_ITERATIONS
         t2 = t
-        for _ in range(iterations):
+        for _ in range(TRANSLATION_ITERATIONS):
             t2 = self(t2)
-        full = (t2 - start) / (2 * iterations)
+        full = (t2 - TRANSLATION_START) / (2 * TRANSLATION_ITERATIONS)
         return 2 * full - half
 
 
 SAMPLE_ANGLES = (0.137, 0.731, 1.329, 1.923, 2.517, 3.017)
 
 
-def lift_cocycle(m1: np.ndarray, m2: np.ndarray, tolerance: float = 1e-6):
+def lift_cocycle(m1: np.ndarray, m2: np.ndarray):
     """(c, residual): the deck power relating lift0(m1 m2) to lift0(m1) lift0(m2).
 
-    Each of the three lifts reads a matrix within `tolerance` of +-I as
+    Each of the three lifts reads a matrix within TOLERANCE of +-I as
     the identity of the line; any other matrix must be hyperbolic.
     """
-    f1 = LiftedCircleMap(m1, 0, tolerance)
-    f2 = LiftedCircleMap(m2, 0, tolerance)
-    f12 = LiftedCircleMap(_normalized(m1 @ m2), 0, tolerance)
+    f1 = LiftedCircleMap(m1)
+    f2 = LiftedCircleMap(m2)
+    f12 = LiftedCircleMap(_normalized(m1 @ m2))
     values = []
     for t in SAMPLE_ANGLES:
         values.append((f12(t) - f1(f2(t))) / PI)
     ints = {round(v) for v in values}
     residual = max(abs(v - round(v)) for v in values)
-    if len(ints) != 1 or residual > tolerance:
+    if len(ints) != 1 or residual > TOLERANCE:
         raise IllConditionedError(
             f"cocycle samples disagree: {values} (residual {residual:.3g})")
     return ints.pop(), residual
@@ -229,13 +234,12 @@ class FuchsianGroup:
     """Marked genus-g surface group realized in SL(2,R).
 
     `generators` maps names "a1".."ag", "b1".."bg" to matrices; the
-    relator [a1,b1]...[ag,bg] holds projectively within `tolerance`.
+    relator [a1,b1]...[ag,bg] holds projectively within TOLERANCE.
     """
 
-    def __init__(self, genus: int, generators: dict, tolerance: float = 1e-6):
+    def __init__(self, genus: int, generators: dict):
         self.genus = genus
         self.generators = dict(generators)
-        self.tolerance = tolerance
         self._inverses = {name: _normalized(np.array(
             [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]))
             for name, m in self.generators.items()}
@@ -280,12 +284,10 @@ class FuchsianGroup:
 def sigma0_lift(group: FuchsianGroup, word) -> LiftedCircleMap:
     """The canonical (fixed-point) lift of a word's circle action."""
     m = group.evaluate(word)
-    if _projective_distance(m) < group.tolerance:
-        return LiftedCircleMap(m, 0, group.tolerance)
-    if abs(m[0, 0] + m[1, 1]) <= 2:
+    if _projective_distance(m) >= TOLERANCE and abs(m[0, 0] + m[1, 1]) <= 2:
         raise IllConditionedError(
             f"word evaluates to a non-hyperbolic matrix (trace {m[0,0]+m[1,1]:.6f})")
-    return LiftedCircleMap(m, 0, group.tolerance)
+    return LiftedCircleMap(m)
 
 
 def cocycle(group: FuchsianGroup, w1, w2) -> CocycleValue:
@@ -296,8 +298,7 @@ def cocycle(group: FuchsianGroup, w1, w2) -> CocycleValue:
     only when a factor or the product is not hyperbolic, or the sampled
     angles disagree.
     """
-    return CocycleValue(*lift_cocycle(group.evaluate(w1), group.evaluate(w2),
-                                      group.tolerance))
+    return CocycleValue(*lift_cocycle(group.evaluate(w1), group.evaluate(w2)))
 
 
 def sample_cocycles(group: FuchsianGroup, rng, count: int, max_len: int):
@@ -354,14 +355,14 @@ def _relator_cocycles(group: FuchsianGroup) -> list:
     values = []
     for name, exp in letters[1:-1]:
         step = group.generator(name, exp)
-        values.append(lift_cocycle(prefix, step, group.tolerance)[0])
+        values.append(lift_cocycle(prefix, step)[0])
         prefix = _normalized(prefix @ step)
     step = group.generator(*letters[-1])
-    if not _projective_distance(prefix @ step) < group.tolerance:
+    if not _projective_distance(prefix @ step) < TOLERANCE:
         raise ConstructionError("relator does not multiply to the identity")
-    # the closing product is the identity at the group's tolerance, so its
-    # lift is the identity of the line, not a lift of a near-parabolic map
-    return values + [lift_cocycle(prefix, step, group.tolerance)[0]]
+    # the closing product is the identity at TOLERANCE, so its lift is
+    # the identity of the line, not a lift of a near-parabolic map
+    return values + [lift_cocycle(prefix, step)[0]]
 
 
 def relator_euler_number(group: FuchsianGroup) -> int:
@@ -436,13 +437,13 @@ def _reflect(group: FuchsianGroup) -> FuchsianGroup:
     """Conjugate the realization by the line reflection theta -> -theta."""
     r = np.array([[1.0, 0.0], [0.0, -1.0]])
     flipped = {name: _normalized(r @ m @ r) for name, m in group.generators.items()}
-    return FuchsianGroup(group.genus, flipped, group.tolerance)
+    return FuchsianGroup(group.genus, flipped)
 
 
 def standard_group(genus: int) -> FuchsianGroup:
     """Regular-4g-gon realization, orientation-normalized.
 
-    Verifies the relator within the group's tolerance, checks that all
+    Verifies the relator within TOLERANCE, checks that all
     reduced words of up to 3 letters are hyperbolic, and flips the
     orientation if needed so that the relator Euler number is +(2g - 2).
     Raises ConstructionError when a check fails, as the relator residual
@@ -452,10 +453,10 @@ def standard_group(genus: int) -> FuchsianGroup:
         raise ValueError(f"genus must be >= 2, got {genus}")
     group = FuchsianGroup(genus, _polygon_generators(genus))
     residual = group.relator_residual()
-    if residual > group.tolerance:
+    if residual > TOLERANCE:
         raise ConstructionError(
             f"genus {genus} cannot be realized: relator residual "
-            f"{residual:.3g} exceeds tolerance {group.tolerance:.3g}")
+            f"{residual:.3g} exceeds tolerance {TOLERANCE:.3g}")
     _check_short_words_hyperbolic(group, 3)
     try:
         e = relator_euler_number(group)

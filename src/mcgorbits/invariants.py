@@ -2,9 +2,8 @@
 
 For even n the complete invariant is the vanishing number: reduce all
 coordinates mod 2 and count the handle blocks whose (alpha_i, beta_i)
-pair is (0, 0); only its parity matters.  The beta-coordinate sum is
-preserved by the commuting C twists (not by A or B), and the per-block
-gcd content is preserved by the A/B subgroup (not by C).
+pair is (0, 0); only its parity matters.  The per-block gcd content is
+preserved by the A/B subgroup (not by C).
 """
 
 from __future__ import annotations
@@ -28,12 +27,7 @@ def vanishing_number(x: GnElement) -> int:
     n = x.params.n
     if n % 2 != 0:
         raise InvariantUndefinedError(f"vanishing number needs even n, got {n}")
-    count = 0
-    for i in range(1, x.params.g + 1):
-        a, b = x.block(i)
-        if a % 2 == 0 and b % 2 == 0:
-            count += 1
-    return count % 2
+    return int(vanishing_number_array(np.array([x.coords]))[0])
 
 
 def vanishing_number_array(coords: np.ndarray) -> np.ndarray:
@@ -41,11 +35,6 @@ def vanishing_number_array(coords: np.ndarray) -> np.ndarray:
     even = (coords % 2) == 0
     zero_blocks = even[:, 0::2] & even[:, 1::2]
     return zero_blocks.sum(axis=1) % 2
-
-
-def beta_sum(x: GnElement) -> int:
-    """Sum of the beta coordinates mod n; constant under multi-twists."""
-    return sum(x.coords[1::2]) % x.params.n
 
 
 def block_content(x: GnElement, i: int) -> int:

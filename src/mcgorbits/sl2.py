@@ -32,6 +32,8 @@ from .action import (
 )
 from .space import SpaceParams
 
+SL2_CAP = 10 ** 8  # the largest matrix space n^4 `generate_sl2` searches
+
 # the letters L, L^-1, R, R^-1 as block-1 tokens
 _LETTERS = tuple(make_token(kind, 1, e)
                  for kind, e in (("A", 1), ("A", -1), ("B", 1), ("B", -1)))
@@ -149,17 +151,17 @@ def solve_pair(pair_from, pair_to, n: int):
     return word
 
 
-def generate_sl2(n: int, cap: int = 10 ** 8) -> dict:
+def generate_sl2(n: int) -> dict:
     """Breadth-first closure of {L, R, L^-1, R^-1} in SL(2, Z/nZ).
 
     Returns {matrix as (m00, m01, m10, m11): shortest witness word}, each
     witness a `GeneratorWord` of the letter tokens.
-    Refuses when the ambient matrix space n^4 exceeds `cap`.
+    Refuses when the ambient matrix space n^4 exceeds SL2_CAP.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
-    if n ** 4 > cap:
-        raise ValueError(f"n^4 = {n ** 4} exceeds cap {cap}")
+    if n ** 4 > SL2_CAP:
+        raise ValueError(f"n^4 = {n ** 4} exceeds cap {SL2_CAP}")
     identity = (1 % n, 0, 0, 1 % n)
     words = {identity: EMPTY_WORD}
     frontier = [identity]

@@ -16,6 +16,7 @@ checks build millions of states there, and the check would double each.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,12 +103,19 @@ def _residues(params: SpaceParams, coords: tuple) -> GnElement:
 
 
 def make_element(params: SpaceParams, values) -> GnElement:
-    """Build a state from any integer vector, reducing mod n."""
+    """Build a state from any integer vector, reducing mod n; a value
+    that `operator.index` refuses (a float, a string) raises ValueError."""
     values = list(values)
     if len(values) != params.dim:
         raise DimensionError(
             f"expected {params.dim} values for g={params.g}, got {len(values)}")
-    return GnElement(params, tuple(int(v) % params.n for v in values))
+    coords = []
+    for v in values:
+        try:
+            coords.append(operator.index(v) % params.n)
+        except TypeError:
+            raise ValueError(f"coordinate {v!r} is not an integer") from None
+    return GnElement(params, tuple(coords))
 
 
 def zero_element(params: SpaceParams) -> GnElement:

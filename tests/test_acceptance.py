@@ -18,6 +18,7 @@ from mcgorbits.action import (
 )
 from mcgorbits.checks import (
     aprime_cocycle, cocycle_sample, macro_exact, theorem_case, vanishing_bounds,
+    vanishing_table,
 )
 from mcgorbits.euler import (
     SamplingCapError, relator_euler_number, sample_cocycles, standard_group,
@@ -70,9 +71,7 @@ def test_criterion_04_vanishing_number_constant_and_separating():
     for g, n in EVEN_CASES:
         p = SpaceParams(g, n)
         for selector in (MOD, MOD_PM):
-            bounds = vanishing_bounds(
-                p, selector,
-                lambda batch: vanishing_number_array(decode_array(batch, p)))
+            bounds = vanishing_bounds(p, selector, vanishing_table(p))
             assert len(bounds) == 2, (g, n, selector)  # one entry per orbit
             values = []
             for ordinal, (lo, hi) in bounds.items():

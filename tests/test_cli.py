@@ -262,8 +262,8 @@ def test_out_of_range_cocycle_fails_verify(capsys, monkeypatch):
     group = euler.standard_group(2)
     real = euler.lift_cocycle
 
-    def lift_cocycle(m1, m2, tolerance=1e-6):
-        value, residual = real(m1, m2, tolerance)
+    def lift_cocycle(m1, m2):
+        value, residual = real(m1, m2)
         return (2 if value == 0 else value), residual
 
     monkeypatch.setattr(euler, "standard_group", lambda genus: group)
@@ -434,3 +434,29 @@ def test_closed_pipe_is_not_a_traceback():
     assert first.startswith(b"ok   theorem")
     assert "Traceback" not in err and "Exception ignored" not in err
     assert code == 1
+
+
+# outside the regime, formats with no place for the watermark keep their
+# stdout and watermark on stderr: (argv, stdout)
+OUTSIDE_REGIME = {
+    "normalize-text": (
+        ("normalize", "--element", "1,2,0,1"),
+        "canonical     0,0,0,0\ncertificate   A1 B1^-1 B2 A2 C1^-1 A2 B2^-1 C1\n"),
+    "apply-text": (
+        ("apply", "--element", "1,2,0,1", "--word", "A1"), "1,1,0,1\n"),
+    "apply-json": (
+        ("apply", "--element", "1,2,0,1", "--word", "A1", "--format", "json"),
+        '{"element": [1, 2, 0, 1], "word": "A1", "image": [1, 1, 0, 1]}\n'),
+    "orbits-csv": (
+        ("orbits", "--format", "csv"),
+        'representative,size,vanishing_number\n"0,0,0,0",81,\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_REGIME))
+def test_outside_regime_is_watermarked_on_stderr(capsys, case):
+    argv, stdout = OUTSIDE_REGIME[case]
+    code, out, err = run(capsys, argv[0], "--g", "2", "--n", "3",
+                         "--allow-invalid-euler", *argv[1:])
+    assert code == 0 and out == stdout
+    assert err == "warning: outside n | 2g-2 regime\n"

@@ -68,8 +68,9 @@ def test_order_formula_matches_brute_force():
 
 
 def test_generate_sl2_cap():
-    with pytest.raises(ValueError):
-        generate_sl2(100, cap=10 ** 6)
+    # 100^4 is at the cap, 101^4 past it; the check comes before any work
+    with pytest.raises(ValueError, match=r"^n\^4 = 104060401 exceeds cap 100000000$"):
+        generate_sl2(101)
 
 
 def test_clear_alpha_examples():

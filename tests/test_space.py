@@ -39,6 +39,16 @@ def test_make_element_examples():
         make_element(p, [0, 1, 0])
 
 
+def test_make_element_refuses_non_integers():
+    p = SpaceParams(2, 2)
+    for bad in (1.5, 1.0, "1", np.float64(1)):
+        with pytest.raises(ValueError) as err:
+            make_element(p, [bad, 0, 0, 0])
+        assert str(err.value) == f"coordinate {bad!r} is not an integer"
+    values = [np.int64(3), np.uint8(1), np.int32(-1), 0]
+    assert make_element(p, values).coords == (1, 1, 1, 0)
+
+
 def test_element_text_round_trip():
     p = SpaceParams(2, 2)
     x = parse_element(p, "0,1,0,1")
