@@ -30,11 +30,15 @@ def test_vanishing_number_examples():
 
 
 def test_vanishing_number_array_agrees():
+    # both against the definition: the parity of the count of blocks
+    # whose two coordinates are even
     p = params(3, 4)
     idx = np.arange(0, p.size, 13)
     values = vanishing_number_array(decode_array(idx, p))
-    for k in (0, 7, len(idx) - 1):
-        assert values[k] == vanishing_number(decode(int(idx[k]), p))
+    for k in range(len(idx)):
+        x = decode(int(idx[k]), p)
+        even = sum(a % 2 == 0 and b % 2 == 0 for a, b in map(x.block, (1, 2, 3)))
+        assert values[k] == vanishing_number(x) == even % 2
 
 
 def test_vanishing_number_invariant_under_all_generators():
