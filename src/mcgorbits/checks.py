@@ -102,7 +102,7 @@ def aprime_cocycle(group: euler.FuchsianGroup) -> int:
 
 
 class CocycleSampleCheck(NamedTuple):
-    in_range: bool     # value in {-1, 0, 1}, residual below euler.TOLERANCE
+    in_range: bool     # value in {-1, 0, 1}, residual in euler's bound
     crosses: bool      # the axes of w1 and w2 cross transversely
     crossing_ok: bool  # the value is 0 where the axes cross
 
@@ -119,5 +119,5 @@ def cocycle_sample(group: euler.FuchsianGroup, w1, w2,
     except euler.IllConditionedError:
         crosses = False
     return CocycleSampleCheck(
-        value.value in (-1, 0, 1) and value.residual < euler.TOLERANCE,
+        value.value in (-1, 0, 1) and euler.residual_in_bound(value.residual),
         crosses, not crosses or value.value == 0)

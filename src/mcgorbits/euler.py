@@ -58,6 +58,14 @@ MAX_DRAWS_PER_SAMPLE = 20
 # close within it.
 TOLERANCE = 1e-6
 
+
+def residual_in_bound(residual: float) -> bool:
+    """The one bound on a sampled cocycle's distance from an integer:
+    `lift_cocycle` returns a value only when it holds, and
+    `checks.cocycle_sample` counts a value in range only when it holds."""
+    return residual <= TOLERANCE
+
+
 # translation numbers iterate a lift this often from this angle
 TRANSLATION_ITERATIONS = 64
 TRANSLATION_START = 0.383
@@ -199,7 +207,7 @@ def lift_cocycle(m1: np.ndarray, m2: np.ndarray):
         values.append((f12(t) - f1(f2(t))) / PI)
     ints = {round(v) for v in values}
     residual = max(abs(v - round(v)) for v in values)
-    if len(ints) != 1 or residual > TOLERANCE:
+    if len(ints) != 1 or not residual_in_bound(residual):
         raise IllConditionedError(
             f"cocycle samples disagree: {values} (residual {residual:.3g})")
     return ints.pop(), residual

@@ -26,20 +26,24 @@ happen where the two meet, and `action._push` makes them there.
 
 Each call does only the work that depends on its own state; whatever
 depends on a memo key alone is done, and checked, once, when the entry
-is filled.  The memos are bounded LRU caches:
-  - `_block_step` keeps, under (a, b, block, n), a block's stage (i)
-    tokens, built on their block by one Euclid pass
+is filled.  The memos are bounded:
+  - `_block_step`, an LRU cache, keeps, under (a, b, block, n), a
+    block's stage (i) tokens, built on their block by one Euclid pass
     (`sl2._euclid_tokens`), and the pair they send (a, b) to.  It holds
     at most 32768 entries of O(log n) tokens;
-  - `_tail` keeps, under (betas, g, n), the tail's tokens and the target
-    t.  It holds at most 4096 entries of O(g) objects each (the key's g
-    betas, at most g + 6 tokens): tracemalloc puts an entry, its key
-    included, at about 0.20 KB at (g, n) = (7, 30), 0.62 KB at (26, 50)
-    and 2.3 KB at (26, 1000), so at most about 9.3 MB there;
-  - `_canonical_form` keeps, under (params, target), the one
-    `CanonicalForm` of each class, which every state of the class
-    shares (the type is frozen).  It holds at most 256 entries of 2g
-    coordinates each;
+  - `_tail`, an LRU cache, keeps, under (betas, params), the tail's
+    tokens and the class's shared `CanonicalForm`, so a state makes one
+    lookup for stages (ii) and (iii).  It holds at most 4096 entries of
+    O(g) objects each (the key's g betas, at most g + 6 tokens; the form
+    is shared): tracemalloc puts an entry, its key included, at about
+    0.26 KB at (g, n) = (7, 30), 0.68 KB at (26, 50) and 2.3 KB at
+    (26, 1000), so at most about 9.5 MB there;
+  - `_canonical_form` is called only when a `_tail` entry is filled.
+    It hands out the one `CanonicalForm` of each class (the type is
+    frozen) and keeps it, under (params, target), in a weak-value map:
+    a form lives while a `_tail` entry or a caller holds it, so the map
+    holds no more forms than those do, and two live forms of one class
+    are always one instance;
   - `_shift_word` (8192 entries) and `action.make_token` (16384) keep
     the shift words and the interned tokens.
 Where each check runs:
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 from .action import (
     GeneratorWord, _push, apply_word, make_token, replay_tokens, simplify_word,
@@ -77,13 +82,24 @@ class CanonicalForm:
     parity_class: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Certificate:
     """Word mapping `source` to `target`, first token first."""
 
     word: GeneratorWord
     source: GnElement
     target: GnElement
+
+    def __init__(self, word: GeneratorWord, source: GnElement, target: GnElement):
+        """Set the three fields in one write to the instance dict.
+
+        Every `normalize` call builds one, and its fields are read a few
+        times at most: building one takes 0.40-0.44 us against 0.54-0.56
+        us for the generated `__init__`'s `object.__setattr__` per field,
+        and a field read 4-5 ns against 4 ns (CPython 3.11.7 on a 2-vCPU
+        Xeon; BENCH_warm_normalize.json, `init_costs`).
+        """
+        self.__dict__.update(word=word, source=source, target=target)
 
     def replays(self) -> bool:
         return apply_word(self.word, self.source) == self.target
@@ -95,11 +111,17 @@ def _signed_exponent(e: int, n: int) -> int:
     return e - n if e > n // 2 else e
 
 
-@lru_cache(maxsize=256)
+# weak values: a form lives while a `_tail` entry or a caller holds it
+_forms: WeakValueDictionary = WeakValueDictionary()
+
+
 def _canonical_form(params: SpaceParams, target: int) -> CanonicalForm:
-    """The canonical form (0, ..., 0, target), one instance per class."""
-    rep = GnElement(params, (0,) * (2 * params.g - 1) + (target,))
-    return CanonicalForm(rep, target)
+    """The canonical form (0, ..., 0, target), one live instance per class."""
+    form = _forms.get((params, target))
+    if form is None:
+        rep = GnElement(params, (0,) * (2 * params.g - 1) + (target,))
+        form = _forms[params, target] = CanonicalForm(rep, target)
+    return form
 
 
 @lru_cache(maxsize=32768)
@@ -118,15 +140,17 @@ def _block_step(a: int, b: int, block: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _tail(betas: tuple, g: int, n: int) -> tuple:
-    """Stages (ii) and (iii) from (0, b_1, ..., 0, b_g): (tokens, t).
+def _tail(betas: tuple, params: SpaceParams) -> tuple:
+    """Stages (ii) and (iii) from (0, b_1, ..., 0, b_g): (tokens, form).
 
     `tokens` is the multi-twist followed by the shift, in normal form,
-    and `t` is the last coordinate of the representative.  When the
-    entry is filled, the tokens are replayed from (0, b_1, ..., 0, b_g)
-    through the scalar kernel and must land on (0, ..., 0, t); if they
-    do not, AssertionError is raised and nothing is cached.
+    and `form` is the class's shared `CanonicalForm`, (0, ..., 0, t).
+    When the entry is filled, the tokens are replayed from
+    (0, b_1, ..., 0, b_g) through the scalar kernel and must land on
+    (0, ..., 0, t); if they do not, AssertionError is raised and nothing
+    is cached.
     """
+    g, n = params.g, params.n
     tokens = []
     acc = 0
     for i in range(g - 1):
@@ -150,7 +174,7 @@ def _tail(betas: tuple, g: int, n: int) -> tuple:
         raise AssertionError(
             f"the tail from betas {betas} landed on {','.join(map(str, coords))}, "
             f"expected {','.join(map(str, expected))}")
-    return tuple(tokens), target
+    return tuple(tokens), _canonical_form(params, target)
 
 
 def normalize(x: GnElement, verify: bool = True):
@@ -161,19 +185,23 @@ def normalize(x: GnElement, verify: bool = True):
     certificates themselves use it to avoid doing the work twice.
     """
     params = x.params
-    g, n = params.g, params.n
-    # stage (i): clear the alphas block by block
+    n = params.n
+    # stage (i): clear the alphas block by block, over (alpha, beta) pairs
     tokens: list = []
-    betas = list(x.coords[1::2])
-    for i, a in enumerate(x.coords[0::2]):
-        if a != 0:
-            block_tokens, (a, betas[i]) = _block_step(a, betas[i], i + 1, n)
-            if a != 0:
+    betas = []
+    block = 0
+    coords = iter(x.coords)
+    for a, b in zip(coords, coords):
+        block += 1
+        if a:
+            block_tokens, (a, b) = _block_step(a, b, block, n)
+            if a:
                 raise AssertionError(
-                    f"stage (i) left alpha_{i + 1} = {a} in the reduction of {x}")
+                    f"stage (i) left alpha_{block} = {a} in the reduction of {x}")
             tokens += block_tokens
+        betas.append(b)
     # stages (ii) and (iii), landing checked when the entry was filled
-    tail, target = _tail(tuple(betas), g, n)
+    tail, form = _tail(tuple(betas), params)
 
     # both parts are in normal form, so merges can only start where they meet
     if tokens and tail and tokens[-1].kind == tail[0].kind \
@@ -182,7 +210,6 @@ def normalize(x: GnElement, verify: bool = True):
     else:
         tokens += tail
 
-    form = _canonical_form(params, target)
     cert = Certificate(GeneratorWord(tuple(tokens)), x, form.representative)
     if verify and not cert.replays():
         raise AssertionError(f"certificate for {x} does not replay")

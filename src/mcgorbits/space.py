@@ -49,6 +49,13 @@ class SpaceParams:
             raise ValueError(
                 f"n={self.n} does not divide 2g-2={2 * self.g - 2}; "
                 "pass strict_euler=False to explore outside that regime")
+        # the generated hash, computed once: a warm `normalize` hashes its
+        # params in every `_tail` lookup, and the generated `__hash__`
+        # would build and hash this tuple each time
+        object.__setattr__(self, "_hash", hash((self.g, self.n, self.strict_euler)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -94,7 +101,13 @@ def _residues(params: SpaceParams, coords: tuple) -> GnElement:
     """GnElement of coordinates that are residues by construction, unchecked.
 
     Fields are set as the generated `__init__` sets them: writing
-    `__dict__` directly would cost later attribute reads their fast path.
+    `__dict__` directly would cost later attribute reads their fast path,
+    and the kernels read a state's fields far more often than they build
+    one.  `action.GeneratorWord` and `normalize.Certificate`, built once
+    per `normalize` call and read a few times, make the opposite trade:
+    a `GeneratorWord.tokens` read takes 20-22 ns against 4 ns, and a
+    build 0.22-0.24 us against 0.28-0.29 us (BENCH_warm_normalize.json,
+    `init_costs`).
     """
     x = object.__new__(GnElement)
     object.__setattr__(x, "params", params)
@@ -104,7 +117,8 @@ def _residues(params: SpaceParams, coords: tuple) -> GnElement:
 
 def make_element(params: SpaceParams, values) -> GnElement:
     """Build a state from any integer vector, reducing mod n; a value
-    that `operator.index` refuses (a float, a string) raises ValueError."""
+    that `operator.index` refuses (a float, a string) raises ValueError,
+    and so does a bool, which `operator.index` would read as 0 or 1."""
     values = list(values)
     if len(values) != params.dim:
         raise DimensionError(
@@ -112,9 +126,12 @@ def make_element(params: SpaceParams, values) -> GnElement:
     coords = []
     for v in values:
         try:
-            coords.append(operator.index(v) % params.n)
+            value = operator.index(v)
         except TypeError:
-            raise ValueError(f"coordinate {v!r} is not an integer") from None
+            value = None
+        if value is None or isinstance(v, bool):
+            raise ValueError(f"coordinate {v!r} is not an integer")
+        coords.append(value % params.n)
     return GnElement(params, tuple(coords))
 
 

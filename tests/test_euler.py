@@ -6,9 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from mcgorbits import checks, euler
 from mcgorbits.euler import (
-    TOLERANCE, FuchsianGroup, IllConditionedError, LiftedCircleMap, axes_cross, cocycle,
-    conjugated_generator_word, fixed_angles, nu_consistency,
+    TOLERANCE, CocycleValue, FuchsianGroup, IllConditionedError, LiftedCircleMap,
+    axes_cross, cocycle, conjugated_generator_word, fixed_angles, nu_consistency,
     parse_surface_word, relator_euler_number, sigma0_lift, standard_group,
     _polygon_generators, _projective_distance, _reflect,
 )
@@ -277,3 +278,18 @@ def test_parse_surface_word():
         parse_surface_word("A1")
     with pytest.raises(ValueError):
         parse_surface_word("a1^0")
+
+
+def test_one_residual_bound_for_lift_and_sample(g2, monkeypatch):
+    # a residual equal to the tolerance is one lift_cocycle returns, so
+    # cocycle_sample must count it in range; both go through one bound
+    w1, w2 = (("a1", 1),), (("b1", 1),)
+    at, above = TOLERANCE, 2 * TOLERANCE
+    assert euler.residual_in_bound(at) and not euler.residual_in_bound(above)
+    assert checks.cocycle_sample(g2, w1, w2, CocycleValue(0, at)).in_range
+    assert not checks.cocycle_sample(g2, w1, w2, CocycleValue(0, above)).in_range
+
+    monkeypatch.setattr(euler, "residual_in_bound", lambda residual: False)
+    assert not checks.cocycle_sample(g2, w1, w2, CocycleValue(0, 0.0)).in_range
+    with pytest.raises(IllConditionedError, match="cocycle samples disagree"):
+        cocycle(g2, "a1", "b1")

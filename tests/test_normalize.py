@@ -1,8 +1,11 @@
 """Tests for canonical reduction and word certificates."""
 
+import copy
+import dataclasses
 import hashlib
 import importlib
 import math
+import pickle
 import random
 
 import pytest
@@ -13,7 +16,8 @@ from mcgorbits.action import (
 )
 from mcgorbits.invariants import vanishing_number
 from mcgorbits.normalize import (
-    _block_step, _shift_word, _tail, macro_word, normalize, same_orbit,
+    Certificate, _block_step, _canonical_form, _shift_word, _tail, macro_word,
+    normalize, same_orbit,
 )
 from mcgorbits.sl2 import clear_alpha, on_block, on_pair
 from mcgorbits.space import (
@@ -241,6 +245,69 @@ def test_states_of_one_class_share_one_canonical_form():
     strict, loose = SpaceParams(2, 2), params(2, 2)
     a, b = (normalize(zero_element(q))[0] for q in (strict, loose))
     assert a.representative.params == strict and b.representative.params == loose
+
+
+def test_tail_returns_the_shared_canonical_form(fresh_tail):
+    # the tail entry carries its class's form, so a state makes one memo
+    # lookup for stages (ii) and (iii) and still gets the shared instance
+    strict, loose = SpaceParams(2, 2), params(2, 2)
+    forms = []
+    for q in (strict, loose):
+        for betas in ((0, 0), (1, 1), (0, 1), (1, 0)):
+            _, form = _tail(betas, q)
+            assert form is _canonical_form(q, form.parity_class)
+            assert form.representative.params is q
+            forms.append(form)
+    # two classes in each copy of the space, and no form shared across them
+    strict_forms, loose_forms = forms[:4], forms[4:]
+    for group in (strict_forms, loose_forms):
+        assert group[0] is group[1] and group[2] is group[3]
+        assert [form.parity_class for form in group] == [0, 0, 1, 1]
+    assert not {id(form) for form in strict_forms} & {id(form) for form in loose_forms}
+    # a form held by a tail entry stays the class's one instance, however
+    # many other classes are formed meanwhile
+    q = params(2, 4)
+    first = _tail((0, 0), q)[1]
+    for m in range(5, 305):
+        _canonical_form(params(2, m), 0)
+    assert _tail((1, 1), q)[1] is first
+
+
+# recorded from the generated dataclass __init__s, before both classes set
+# their fields in one write to the instance dict
+WORD_REPR = ("GeneratorWord(tokens=(Generator(kind='A', index=1, exponent=-1), "
+             "Generator(kind='B', index=1, exponent=-1), "
+             "Generator(kind='C', index=1, exponent=1)))")
+CERT_REPR = (f"Certificate(word={WORD_REPR}, "
+             "source=GnElement(params=SpaceParams(g=2, n=2, strict_euler=True), "
+             "coords=(1, 0, 0, 1)), "
+             "target=GnElement(params=SpaceParams(g=2, n=2, strict_euler=True), "
+             "coords=(0, 0, 0, 0)))")
+
+
+def test_certificate_and_word_keep_the_frozen_value_contract():
+    _, cert = normalize(make_element(SpaceParams(2, 2), [1, 0, 0, 1]))
+    assert repr(cert.word) == WORD_REPR
+    assert repr(cert) == CERT_REPR
+    for value in (cert.word, cert):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert {f.name: getattr(value, f.name) for f in dataclasses.fields(value)} == fields
+        twin = type(value)(**fields)
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        assert type(value)(*fields.values()) == value
+        for other in (dataclasses.replace(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert other is not value and other == value
+            assert hash(other) == hash(value) and repr(other) == repr(value)
+    changed = dataclasses.replace(cert, word=EMPTY_WORD)
+    assert changed.word is EMPTY_WORD and changed != cert
+    assert changed == Certificate(EMPTY_WORD, cert.source, cert.target)
+    assert GeneratorWord(cert.word.tokens[:1]) != cert.word
 
 
 def _reference_word(x):

@@ -1,6 +1,9 @@
 """Tests for the state space: elements, indexing, affine maps."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -30,6 +33,19 @@ def test_params_validation():
     SpaceParams(2, 3, strict_euler=False)
 
 
+def test_params_hash_is_the_generated_one():
+    # the hash is computed once per instance; it must stay the value the
+    # generated dataclass hash gave, through replace, copy and pickle
+    p = SpaceParams(4, 6)
+    for q in (p, SpaceParams(4, 6), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and hash(q) == hash((4, 6, True))
+    q = dataclasses.replace(p, n=3, strict_euler=False)
+    assert hash(q) == hash((4, 3, False)) and q != p
+    assert repr(q) == "SpaceParams(g=4, n=3, strict_euler=False)"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.n = 3
+
+
 def test_make_element_examples():
     p = SpaceParams(2, 2)
     assert make_element(p, [0, 0, 0, 0]).coords == (0, 0, 0, 0)
@@ -41,7 +57,7 @@ def test_make_element_examples():
 
 def test_make_element_refuses_non_integers():
     p = SpaceParams(2, 2)
-    for bad in (1.5, 1.0, "1", np.float64(1)):
+    for bad in (1.5, 1.0, "1", np.float64(1), True, False, np.True_):
         with pytest.raises(ValueError) as err:
             make_element(p, [bad, 0, 0, 0])
         assert str(err.value) == f"coordinate {bad!r} is not an integer"
