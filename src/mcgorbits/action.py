@@ -23,6 +23,11 @@ The formulas are written once, as the scalar code of `replay_tokens`.
 `generator_action` reads a token's affine map off it by replaying the
 token on 0 and on the unit vectors; the orbit engine's delta tables and
 the SL(2) letters of `sl2` read `generator_action` in turn.
+
+Tokens, words and their replay compute without numpy; only the affine
+maps (`generator_action`, `word_action`) are arrays, and reading one
+imports numpy.  A token's index and exponent are ints: anything else,
+a bool included, raises ValueError by `space.make_element`'s rule.
 """
 
 from __future__ import annotations
@@ -31,9 +36,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .space import AffineMap, GnElement, SpaceParams, _residues, compose
+from .space import AffineMap, GnElement, SpaceParams, _integer, _residues, compose
 
 KINDS = ("A", "B", "C", "D", "s")
 
@@ -55,20 +58,31 @@ class Generator:
     exponent: int = 1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.exponent == 0:
+        kind, index, exponent = self.kind, self.index, self.exponent
+        if kind not in KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        # an int passes as it is: a cold `normalize` builds a token per
+        # new (kind, index, exponent)
+        if type(exponent) is not int:
+            exponent = _integer(exponent, "exponent")
+            object.__setattr__(self, "exponent", exponent)
+        if exponent == 0:
             raise ValueError("generator exponent must be nonzero")
-        if self.kind == "s":
-            if self.index is not None:
+        if kind == "s":
+            if index is not None:
                 raise ValueError("s carries no index")
-            if self.exponent not in (1, -1):
+            if exponent not in (1, -1):
                 raise ValueError("s is an involution; exponent must be +-1")
             # keep a single normal form so format/parse round-trips
             object.__setattr__(self, "exponent", 1)
-        else:
-            if not (isinstance(self.index, int) and self.index >= 1):
-                raise ValueError(f"{self.kind} needs an index >= 1, got {self.index!r}")
+            return
+        if index is None:
+            raise ValueError(f"{kind} needs an index >= 1, got None")
+        if type(index) is not int:
+            index = _integer(index, "index")
+            object.__setattr__(self, "index", index)
+        if index < 1:
+            raise ValueError(f"{kind} needs an index >= 1, got {index!r}")
 
     def inverse(self) -> "Generator":
         if self.kind == "s":
@@ -83,12 +97,14 @@ class Generator:
         return f"{self.kind}{self.index}^{self.exponent}"
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=16384, typed=True)
 def make_token(kind: str, index: int | None = None, exponent: int = 1) -> Generator:
     """Interned token: each distinct (kind, index, exponent) is validated once.
 
     Generators are immutable, so the word builders share one instance per
     token instead of constructing and validating a new one on every call.
+    The cache is typed: a float or bool key, equal to an int one, would
+    otherwise be handed the int key's token, or leave its own for it.
     """
     return Generator(kind, index, exponent)
 
@@ -152,6 +168,8 @@ def generator_action(gen: Generator, params: SpaceParams) -> AffineMap:
 
 
 def _read_action(gen: Generator, params: SpaceParams) -> AffineMap:
+    import numpy as np
+
     g = params.g
     rows = [[0] * (2 * g)] + np.eye(2 * g, dtype=np.int64).tolist()
     for coords in rows:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from . import euler
 from .action import apply_word
 from .invariants import orbit_count_expected, vanishing_number_array
@@ -54,6 +52,8 @@ def vanishing_table(params: SpaceParams) -> np.ndarray:
     no (size, 2g) coordinate matrix is held; the table is one byte per
     state.
     """
+    import numpy as np
+
     table = np.empty(params.size, dtype=np.uint8)
     for start in range(0, params.size, TABLE_CHUNK):
         stop = min(start + TABLE_CHUNK, params.size)

@@ -24,6 +24,9 @@ them; `lift_cocycle` evaluates each of its three maps at six angles.
 `FuchsianGroup.generator` likewise keeps each power of a generator it
 builds.  Both cache exactly the values that were recomputed before, so
 every lift value and residual is bit-identical.
+
+The matrices are numpy arrays; the functions that build them import
+numpy, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 PI = math.pi
 
@@ -86,6 +87,8 @@ def _normalized(m: np.ndarray) -> np.ndarray:
 
 def _align(p: complex, q: complex) -> np.ndarray:
     """SL(2,R) map sending p to i and q onto the ray above i."""
+    import numpy as np
+
     y = p.imag
     move = np.array([[1 / math.sqrt(y), -p.real / math.sqrt(y)],
                      [0.0, math.sqrt(y)]])
@@ -130,6 +133,8 @@ def fixed_angles(m: np.ndarray):
 
 def _projective_distance(m: np.ndarray) -> float:
     """Largest entry of m - I or of m + I, whichever is smaller."""
+    import numpy as np
+
     return min(float(np.max(np.abs(m - np.eye(2)))),
                float(np.max(np.abs(m + np.eye(2)))))
 
@@ -246,6 +251,8 @@ class FuchsianGroup:
     """
 
     def __init__(self, genus: int, generators: dict):
+        import numpy as np
+
         self.genus = genus
         self.generators = dict(generators)
         self._inverses = {name: _normalized(np.array(
@@ -261,6 +268,8 @@ class FuchsianGroup:
             return m
         if name not in self.generators:
             raise KeyError(f"unknown generator {name!r} for genus {self.genus}")
+        import numpy as np
+
         base = self.generators[name] if exponent > 0 else self._inverses[name]
         m = np.eye(2)
         for _ in range(abs(exponent)):
@@ -271,6 +280,8 @@ class FuchsianGroup:
 
     def evaluate(self, word) -> np.ndarray:
         """Matrix of a word, given as text or (name, exponent) tokens."""
+        import numpy as np
+
         if isinstance(word, str):
             word = parse_surface_word(word)
         m = np.eye(2)
@@ -414,6 +425,8 @@ def nu_consistency(group: FuchsianGroup, x) -> dict:
 
 def _polygon_generators(genus: int) -> dict:
     """Side pairings of the regular 4g-gon with commutator edge word."""
+    import numpy as np
+
     N = 4 * genus
     cosh_r = 1 / math.tan(PI / N) ** 2
     rho = math.sqrt((cosh_r - 1) / (cosh_r + 1))
@@ -443,6 +456,8 @@ def _polygon_generators(genus: int) -> dict:
 
 def _reflect(group: FuchsianGroup) -> FuchsianGroup:
     """Conjugate the realization by the line reflection theta -> -theta."""
+    import numpy as np
+
     r = np.array([[1.0, 0.0], [0.0, -1.0]])
     flipped = {name: _normalized(r @ m @ r) for name, m in group.generators.items()}
     return FuchsianGroup(group.genus, flipped)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from .space import GnElement, SpaceParams
 
 
@@ -27,6 +25,8 @@ def vanishing_number(x: GnElement) -> int:
     n = x.params.n
     if n % 2 != 0:
         raise InvariantUndefinedError(f"vanishing number needs even n, got {n}")
+    import numpy as np
+
     return int(vanishing_number_array(np.array([x.coords]))[0])
 
 

@@ -59,6 +59,10 @@ Where each check runs:
   - on every state: stage (i) must leave each alpha at 0 (the tail is
     keyed on the betas alone), or it raises AssertionError; with
     `verify=True` the whole certificate is replayed from the input.
+
+Every stage, the memos and the replays are integer Python and never
+load numpy, so `normalize`, `same_orbit` and the commands built on them
+run in a process that has not imported it.
 """
 
 from __future__ import annotations

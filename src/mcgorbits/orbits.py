@@ -65,6 +65,10 @@ about 3.6 candidates per state a chunk's images cost too little to pay
 for handing them to a worker.  Orbit representatives are the minimal
 state indices, a total order independent of search order.  Parent
 links for path certificates are recorded only on request.
+
+The census computes with numpy arrays; this module imports numpy in the
+functions that do, so importing it (and the CLI, and the package) leaves
+numpy unloaded until the first census.
 """
 
 from __future__ import annotations
@@ -73,8 +77,6 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .action import Generator, GeneratorWord, apply_word, generator_action
 from .invariants import vanishing_number
@@ -96,13 +98,6 @@ STATE_LIMIT = 1 << 32  # the most states a uint32 index can name
 TABLE_BYTES_PER_ENTRY = 8  # one int64 delta per key of a term
 TABLE_BUILD_BYTES_PER_KEY = 80  # scratch while a term is built, measured
 
-_ONE, _SEVEN = np.uint8(1), np.uint8(7)
-
-
-def _bit(idx: np.ndarray) -> np.ndarray:
-    """The mask of each state's bit within its byte of the visited set."""
-    return np.left_shift(_ONE, idx.astype(np.uint8) & _SEVEN)
-
 
 def _mark(visited: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Set the visited bits of the states `idx` and return the positions
@@ -117,8 +112,11 @@ def _mark(visited: np.ndarray, idx: np.ndarray) -> np.ndarray:
     the census `idx` is one image row: a generator is a bijection and a
     level holds distinct states.
     """
+    import numpy as np
+
     byte = idx >> 3
-    bit = _bit(idx)
+    # the mask of each state's bit within its byte
+    bit = np.left_shift(np.uint8(1), idx.astype(np.uint8) & 7)
     fresh = np.flatnonzero(visited.take(byte) & bit == 0)
     if fresh.size:
         np.add.at(visited, byte.take(fresh), bit.take(fresh))
@@ -199,6 +197,8 @@ def _local_action(gen: Generator, params: SpaceParams):
     (the map moves nothing outside its terms and couples no two), which
     is checked here, so the map acts on each term's coordinates alone.
     """
+    import numpy as np
+
     g, n = params.g, params.n
     action = generator_action(gen, params)
     moved = (action.linear - np.eye(2 * g, dtype=np.int64)) % n
@@ -222,6 +222,8 @@ def _delta_table(lo: int, hi: int, step: dict, n: int) -> np.ndarray:
     """delta[key] = gen(x) - x for the local digit key of coordinates
     lo..hi-1 (digit k weighs n^k), vectorized over the keys; `step` is
     the generator's sparse map minus the identity (`_local_action`)."""
+    import numpy as np
+
     keys = np.arange(n ** (hi - lo), dtype=np.int64)
     digits = [keys // n ** k % n for k in range(hi - lo)]
     delta = np.zeros_like(keys)
@@ -365,6 +367,8 @@ def _chunks(level: dict, size: int, generator_count: int):
 def _joined(held: list, generator_count: int):
     """One int64 chunk from its uint32 (reach, piece) pieces, in
     descending reach."""
+    import numpy as np
+
     chunk = np.concatenate([piece for _, piece in held], dtype=np.int64)
     counts = [0] * generator_count
     total = k = 0
@@ -492,6 +496,8 @@ def enumerate_orbits(
         raise ValueError("thread_count must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    import numpy as np
+
     start = time.monotonic()
     size = params.size
     if size > STATE_LIMIT:

@@ -7,11 +7,18 @@ beta_g).  Mapping classes act on this space by invertible affine maps over
 Z/nZ; this module holds the space parameters, its elements, affine maps,
 and the mixed-radix indexing used by the exhaustive search code.
 
-A `GnElement` refuses a coordinate outside [0, n) with ValueError, so
-`encode`, `apply_word` and the normalizer see residues only.  `decode`
-(by `divmod`) and `action.apply_word` (by `% n`) make residues by
-construction and skip the check through `_residues`: the exhaustive
-checks build millions of states there, and the check would double each.
+A `GnElement` refuses a coordinate that is not an integer, or lies
+outside [0, n), with ValueError, and keeps its coordinates as a tuple of
+int, so `encode`, `apply_word` and the normalizer see residues only.
+`make_element` (by `% n`), `decode` (by `divmod`) and `action.apply_word`
+(by `% n`) make residues by construction and skip the check through
+`_residues`: the exhaustive checks build millions of states there, and
+the check would double each.
+
+States, their codec and the normalizer's paths compute without numpy,
+so a process that only builds, replays and normalizes states never
+loads it.  `AffineMap`, `apply_affine` and `decode_array` compute with
+arrays and import numpy when first called.
 """
 
 from __future__ import annotations
@@ -19,11 +26,21 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class DimensionError(ValueError):
     """Vector or matrix size does not match the 2g coordinates."""
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int; a value that `operator.index` refuses (a float,
+    a string) raises ValueError, and so does a bool, which
+    `operator.index` would read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -41,18 +58,21 @@ class SpaceParams:
     strict_euler: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.g, int) and self.g >= 2):
-            raise ValueError(f"genus must be an integer >= 2, got {self.g!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"index must be an integer >= 1, got {self.n!r}")
-        if self.strict_euler and (2 * self.g - 2) % self.n != 0:
+        g, n = _integer(self.g, "genus"), _integer(self.n, "index")
+        if g < 2:
+            raise ValueError(f"genus must be an integer >= 2, got {g!r}")
+        if n < 1:
+            raise ValueError(f"index must be an integer >= 1, got {n!r}")
+        if self.strict_euler and (2 * g - 2) % n != 0:
             raise ValueError(
-                f"n={self.n} does not divide 2g-2={2 * self.g - 2}; "
+                f"n={n} does not divide 2g-2={2 * g - 2}; "
                 "pass strict_euler=False to explore outside that regime")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "n", n)
         # the generated hash, computed once: a warm `normalize` hashes its
         # params in every `_tail` lookup, and the generated `__hash__`
         # would build and hash this tuple each time
-        object.__setattr__(self, "_hash", hash((self.g, self.n, self.strict_euler)))
+        object.__setattr__(self, "_hash", hash((g, n, self.strict_euler)))
 
     def __hash__(self):
         return self._hash
@@ -72,7 +92,8 @@ class GnElement:
     """A state: 2g residues in [0, n), ordered alpha_1, beta_1, ...
 
     Any other coordinate raises ValueError naming it (`make_element`
-    reduces mod n); only `decode` and `apply_word` skip the check.
+    reduces mod n); the coordinates are kept as a tuple of int.  Only
+    `make_element`, `decode` and `apply_word` skip the check.
     """
 
     params: SpaceParams
@@ -82,7 +103,9 @@ class GnElement:
         if len(self.coords) != self.params.dim:
             raise DimensionError(
                 f"expected {self.params.dim} coordinates, got {len(self.coords)}")
-        coords, n = self.coords, self.params.n
+        coords = tuple(_integer(c, "coordinate") for c in self.coords)
+        object.__setattr__(self, "coords", coords)
+        n = self.params.n
         if min(coords) < 0 or max(coords) >= n:
             bad = [f"{'beta' if j % 2 else 'alpha'}_{j // 2 + 1} = {c}"
                    for j, c in enumerate(coords) if not 0 <= c < n]
@@ -123,16 +146,8 @@ def make_element(params: SpaceParams, values) -> GnElement:
     if len(values) != params.dim:
         raise DimensionError(
             f"expected {params.dim} values for g={params.g}, got {len(values)}")
-    coords = []
-    for v in values:
-        try:
-            value = operator.index(v)
-        except TypeError:
-            value = None
-        if value is None or isinstance(v, bool):
-            raise ValueError(f"coordinate {v!r} is not an integer")
-        coords.append(value % params.n)
-    return GnElement(params, tuple(coords))
+    n = params.n
+    return _residues(params, tuple(_integer(v, "coordinate") % n for v in values))
 
 
 def zero_element(params: SpaceParams) -> GnElement:
@@ -162,6 +177,8 @@ class AffineMap:
     translation: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        import numpy as np
+
         lin = np.asarray(self.linear, dtype=np.int64) % self.n
         tra = np.asarray(self.translation, dtype=np.int64) % self.n
         if lin.ndim != 2 or lin.shape[0] != lin.shape[1]:
@@ -180,12 +197,16 @@ class AffineMap:
 
     @classmethod
     def identity(cls, params: SpaceParams) -> "AffineMap":
+        import numpy as np
+
         return cls(params.n, np.eye(params.dim, dtype=np.int64),
                    np.zeros(params.dim, dtype=np.int64))
 
     def __eq__(self, other):
         if not isinstance(other, AffineMap):
             return NotImplemented
+        import numpy as np
+
         return (self.n == other.n
                 and np.array_equal(self.linear, other.linear)
                 and np.array_equal(self.translation, other.translation))
@@ -199,8 +220,10 @@ def apply_affine(m: AffineMap, x: GnElement) -> GnElement:
     if m.dim != x.params.dim or m.n != x.params.n:
         raise DimensionError(
             f"map on (Z/{m.n})^{m.dim} applied to element of (Z/{x.params.n})^{x.params.dim}")
+    import numpy as np
+
     coords = (m.linear @ np.array(x.coords, dtype=np.int64) + m.translation) % m.n
-    return GnElement(x.params, tuple(int(c) for c in coords))
+    return GnElement(x.params, coords.tolist())
 
 
 def compose(m1: AffineMap, m2: AffineMap) -> AffineMap:
@@ -221,6 +244,10 @@ def encode(x: GnElement) -> int:
 
 
 def decode(index: int, params: SpaceParams) -> GnElement:
+    """The state of a mixed-radix index; an index that is not an int goes
+    through `make_element`'s rule (a bool or a float raises ValueError)."""
+    if type(index) is not int:
+        index = _integer(index, "index")
     if not 0 <= index < params.size:
         raise ValueError(f"index {index} out of range [0, {params.size})")
     coords = []
@@ -232,6 +259,8 @@ def decode(index: int, params: SpaceParams) -> GnElement:
 
 def decode_array(indices, params: SpaceParams) -> np.ndarray:
     """Vectorized decode: (N,) index array -> (N, 2g) coordinate matrix."""
+    import numpy as np
+
     idx = np.asarray(indices, dtype=np.int64)
     out = np.empty((idx.shape[0], params.dim), dtype=np.int64)
     for j in range(params.dim):

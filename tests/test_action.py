@@ -293,6 +293,45 @@ def test_make_token_interns_valid_tokens():
         make_token("B", 1, 0)
 
 
+@pytest.mark.parametrize("kind, index, exponent, message", [
+    ("C", 2, -1.0, "exponent -1.0 is not an integer"),
+    ("C", 1, 1.5, "exponent 1.5 is not an integer"),
+    ("A", 1, True, "exponent True is not an integer"),
+    ("B", 1, "1", "exponent '1' is not an integer"),
+    ("s", None, 1.0, "exponent 1.0 is not an integer"),
+    ("C", 2.0, 1, "index 2.0 is not an integer"),
+    ("D", True, 1, "index True is not an integer"),
+    ("A", np.True_, -1, "index np.True_ is not an integer"),
+])
+def test_tokens_refuse_non_integer_index_and_exponent(kind, index, exponent, message):
+    # make_element's rule: what operator.index refuses, and bools
+    for build in (Generator, make_token):
+        with pytest.raises(ValueError) as err:
+            build(kind, index, exponent)
+        assert str(err.value) == message
+
+
+def test_refused_float_token_leaves_the_interned_int_token():
+    # the cache is typed: ("C", 2, -1.0) equals ("C", 2, -1) as a key, so
+    # an untyped cache would hand either call the other's token
+    int_token = make_token("C", 2, -1)
+    with pytest.raises(ValueError):
+        make_token("C", 2, -1.0)
+    assert make_token("C", 2, -1) is int_token
+    with pytest.raises(ValueError):
+        make_token("C", 1, 1.0)
+    token = make_token("C", 1, 1)
+    assert type(token.exponent) is int and type(token.index) is int
+    assert str(token) == "C1"
+
+
+def test_tokens_read_integer_types_as_int():
+    token = Generator("B", np.int64(3), np.int32(-2))
+    assert token == make_token("B", 3, -2)
+    assert type(token.index) is int and type(token.exponent) is int
+    assert str(token) == "B3^-2"
+
+
 def test_ab_words_fix_zero_and_have_zero_translation():
     rng = random.Random(31)
     p = params(3, 4)

@@ -436,6 +436,42 @@ def test_closed_pipe_is_not_a_traceback():
     assert code == 1
 
 
+# states, words, the normalizer and the commands built on them run
+# without numpy; the census loads it on first use
+NUMPY_ON_FIRST_USE = """
+import importlib, sys
+import mcgorbits, mcgorbits.cli
+from mcgorbits import SpaceParams, apply_word, make_element, normalize, same_orbit
+for name in ("space", "action", "orbits", "normalize", "sl2", "invariants",
+             "euler", "checks", "cli"):
+    importlib.import_module("mcgorbits." + name)
+p = SpaceParams(3, 4)
+x = make_element(p, [0, 2, 0, 3, 0, 1])
+form, cert = normalize(x)
+assert cert.replays() and apply_word(cert.word, x) == form.representative
+assert same_orbit(x, make_element(p, [1, 1, 0, 0, 0, 1]))[0]
+main = mcgorbits.cli.main
+assert main(["normalize", "--g", "3", "--n", "4", "--element", "0,2,0,3,0,1"]) == 0
+assert main(["apply", "--g", "2", "--n", "2", "--element", "0,1,0,1",
+             "--word", "A1 C1^3"]) == 0
+assert main(["classify", "--g", "4", "--n", "3",
+             "--element", "1,2,0,1,2,2,0,1"]) == 0
+print("numpy before the census:", "numpy" in sys.modules)
+assert main(["orbits", "--g", "3", "--n", "2"]) == 0
+print("numpy after the census:", "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_for_the_census():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ON_FIRST_USE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "numpy before the census: False" in lines
+    assert lines[-1] == "numpy after the census: True"
+
+
 # outside the regime, formats with no place for the watermark keep their
 # stdout and watermark on stderr: (argv, stdout)
 OUTSIDE_REGIME = {

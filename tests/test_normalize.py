@@ -419,3 +419,18 @@ def test_normalize_respects_strict_params():
     form, cert = normalize(x)
     assert form.representative == zero_element(p)
     assert cert.replays()
+
+
+def test_refused_float_token_leaves_certificates_integer(fresh_tail):
+    # were ("C", 2, -1.0) interned, the tail of (0, 2, 0, 3, 0, 1) would
+    # emit C2^-1.0, replay to (0, 0, 0, 0.0, 0.0, 0.0) and still compare
+    # equal to the representative
+    with pytest.raises(ValueError, match=r"^exponent -1.0 is not an integer$"):
+        make_token("C", 2, -1.0)
+    x = make_element(SpaceParams(3, 4), [0, 2, 0, 3, 0, 1])
+    form, cert = normalize(x)
+    assert str(cert.word) == "C1^2 B3 A3 C2^-1 A3 B3^-1 C2"
+    assert all(type(t.exponent) is int for t in cert.word.tokens)
+    image = apply_word(cert.word, x)
+    assert image == form.representative and cert.replays()
+    assert all(type(c) is int for c in image.coords)

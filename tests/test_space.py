@@ -65,6 +65,55 @@ def test_make_element_refuses_non_integers():
     assert make_element(p, values).coords == (1, 1, 1, 0)
 
 
+@pytest.mark.parametrize("g, n, message", [
+    (2, True, "index True is not an integer"),
+    (2, 2.0, "index 2.0 is not an integer"),
+    (True, 1, "genus True is not an integer"),
+    (2.0, 2, "genus 2.0 is not an integer"),
+])
+def test_params_refuse_non_integers(g, n, message):
+    with pytest.raises(ValueError) as err:
+        SpaceParams(g, n)
+    assert str(err.value) == message
+
+
+def test_params_read_integer_types_as_int():
+    p = SpaceParams(np.int64(3), np.int32(4))
+    assert type(p.g) is int and type(p.n) is int
+    assert p == SpaceParams(3, 4) and hash(p) == hash(SpaceParams(3, 4))
+
+
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_element_refuses_non_integer_coordinates(bad):
+    # (0, 1, 0, 1.0) built and encoded to 10.0; (0, 1, 0, True) built
+    p = SpaceParams(2, 2)
+    with pytest.raises(ValueError) as err:
+        GnElement(p, (0, 1, 0, bad))
+    assert str(err.value) == f"coordinate {bad!r} is not an integer"
+
+
+def test_element_keeps_coordinates_as_a_tuple_of_int():
+    # a list of coordinates built an element that could not be hashed
+    p = SpaceParams(2, 2)
+    x = GnElement(p, [0, 1, 0, 1])
+    assert x.coords == (0, 1, 0, 1) and type(x.coords) is tuple
+    assert hash(x) == hash(make_element(p, [0, 1, 0, 1]))
+    y = GnElement(p, (np.int64(0), np.uint8(1), 0, np.int32(1)))
+    assert y == x and all(type(c) is int for c in y.coords)
+    assert encode(y) == 10 and type(encode(y)) is int
+
+
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_decode_refuses_a_non_integer_index(bad):
+    # decode(2.0, p) returned (0.0, 1.0, 0.0, 0.0)
+    p = SpaceParams(2, 2)
+    with pytest.raises(ValueError) as err:
+        decode(bad, p)
+    assert str(err.value) == f"index {bad!r} is not an integer"
+    x = decode(np.int64(2), p)
+    assert x == decode(2, p) and all(type(c) is int for c in x.coords)
+
+
 def test_element_text_round_trip():
     p = SpaceParams(2, 2)
     x = parse_element(p, "0,1,0,1")
@@ -107,17 +156,25 @@ def test_import_leaves_sympy_unloaded():
 
 
 def test_numpy_is_the_only_runtime_dependency():
-    # importing every module of the package loads no third-party package
-    # but numpy, whatever else the environment has installed
+    # importing every module of the package loads no third-party package,
+    # whatever else the environment has installed; the census, the affine
+    # maps and the cocycle then load numpy and nothing else
     added = _fresh_stdout(
         "import importlib, pkgutil, sys\n"
         "before = set(sys.modules)\n"
         "import mcgorbits\n"
         "for m in pkgutil.iter_modules(mcgorbits.__path__):\n"
         "    importlib.import_module('mcgorbits.' + m.name)\n"
-        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
-        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))")
-    assert added.split() == ["mcgorbits", "numpy"]
+        "def added():\n"
+        "    names = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "    print(' '.join(sorted(names - set(sys.stdlib_module_names))))\n"
+        "added()\n"
+        "p = mcgorbits.SpaceParams(2, 2)\n"
+        "mcgorbits.enumerate_orbits(p)\n"
+        "mcgorbits.generator_action(mcgorbits.Generator('C', 1), p)\n"
+        "mcgorbits.cocycle(mcgorbits.standard_group(2), 'a1', 'b1')\n"
+        "added()")
+    assert added.splitlines() == ["mcgorbits", "mcgorbits numpy"]
 
 
 def test_compose_identity_and_inverse():
