@@ -20,9 +20,11 @@ increment scaled by the exponent; that keeps words like C^(k) exact and
 cheap for any k.
 
 The formulas are written once, as the scalar code of `replay_tokens`.
-`generator_action` reads a token's affine map off it by replaying the
-token on 0 and on the unit vectors; the orbit engine's delta tables and
-the SL(2) letters of `sl2` read `generator_action` in turn.
+`word_action` reads a word's affine map off it by replaying the whole
+word on 0 and on the unit vectors, and `generator_action` is the map of
+a one-token word; the orbit engine's delta tables read
+`generator_action` in turn, and the SL(2) letters of `sl2` are read off
+the kernel directly, on a pair.
 
 Tokens, words and their replay compute without numpy; only the affine
 maps (`generator_action`, `word_action`) are arrays, and reading one
@@ -36,7 +38,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .space import AffineMap, GnElement, SpaceParams, _integer, _residues, compose
+from .space import AffineMap, GnElement, SpaceParams, _integer, _residues
 
 KINDS = ("A", "B", "C", "D", "s")
 
@@ -147,53 +149,34 @@ def _index_error(kind: str, index: int, g: int) -> ValueError:
     return ValueError(f"{kind}{index} out of range for genus {g} (max {top})")
 
 
-# maps of genus up to this are memoized; an entry's arrays hold 4g^2 + 2g
-# int64, at most 2.2 KB
-MEMO_MAX_GENUS = 8
+def word_action(word: GeneratorWord, params: SpaceParams) -> AffineMap:
+    """Affine map of a word, first token first, read off `replay_tokens`
+    in one pass: the translation is the image of 0, and column j of the
+    linear part is the image of e_j minus it.
 
-
-def generator_action(gen: Generator, params: SpaceParams) -> AffineMap:
-    """Affine map of a single token, exponent included, read off
-    `replay_tokens`: the translation is the image of 0, and column j of
-    the linear part is the image of e_j minus it.
-
-    Maps are read-only, so up to genus `MEMO_MAX_GENUS` each (token,
-    params) is read once and kept, in a 1024-entry LRU (under 3 MB).
-    A larger map is read each time: its callers ask for it once per
-    census, and keeping it would hold up to 8 (2g)^2 bytes per token.
+    A token whose index does not exist in the genus raises ValueError,
+    with `apply_word`'s text.
     """
-    if params.g <= MEMO_MAX_GENUS:
-        return _kept_action(gen, params)
-    return _read_action(gen, params)
-
-
-def _read_action(gen: Generator, params: SpaceParams) -> AffineMap:
     import numpy as np
 
     g = params.g
     rows = [[0] * (2 * g)] + np.eye(2 * g, dtype=np.int64).tolist()
     for coords in rows:
-        replay_tokens((gen,), coords, params.n, g)
+        replay_tokens(word.tokens, coords, params.n, g)
     images = np.array(rows, dtype=np.int64)
     return AffineMap(params.n, (images[1:] - images[0]).T, images[0])
 
 
-_kept_action = lru_cache(maxsize=1024)(_read_action)
-
-
-def word_action(word: GeneratorWord, params: SpaceParams) -> AffineMap:
-    """Composite affine map; token order is application order."""
-    acc = AffineMap.identity(params)
-    for token in word.tokens:
-        acc = compose(generator_action(token, params), acc)
-    return acc
+def generator_action(gen: Generator, params: SpaceParams) -> AffineMap:
+    """Affine map of a single token, exponent included."""
+    return word_action(GeneratorWord((gen,)), params)
 
 
 def replay_tokens(tokens, coords: list, n: int, g: int) -> None:
     """Apply tokens to a coordinate list in place, first token first.
 
     This is the one statement of the A/B/C/s/D formulas:
-    `generator_action` reads its affine map off it, and `apply_word`,
+    `word_action` reads its affine map off it, and `apply_word`,
     `sl2.on_pair` and the normalizer's replays all run through it.  The
     index check is fused in: a token whose index does not exist in genus
     g raises ValueError before it is applied (the tokens before it stay

@@ -15,8 +15,8 @@ angles; the failure of this section to be multiplicative is an integer:
 
 c takes only the values -1, 0, +1, vanishes when the axes of u and v
 cross, and summed along the relator yields the Euler number 2g - 2 of
-the unit tangent bundle (after the orientation of the realization is
-normalized to make that sign positive).
+the unit tangent bundle, with a positive sign for the orientation of
+the regular 4g-gon realization (`standard_group` checks the sign).
 
 A `LiftedCircleMap` works out whether its matrix is projectively
 trivial, and its fixed angles, once, on its first evaluation, and keeps
@@ -389,8 +389,8 @@ def relator_euler_number(group: FuchsianGroup) -> int:
 
     The cochain-extension rule nu(uv) = nu(u) + nu(v) - c(u, v) telescoped
     over the relator accumulates exactly this sum, so a cochain on the
-    generators extends consistently mod n iff n divides it.  With the
-    normalized orientation it equals +(2g - 2).
+    generators extends consistently mod n iff n divides it.  For
+    `standard_group` it equals +(2g - 2).
     """
     return sum(_relator_cocycles(group))
 
@@ -454,23 +454,14 @@ def _polygon_generators(genus: int) -> dict:
     return gens
 
 
-def _reflect(group: FuchsianGroup) -> FuchsianGroup:
-    """Conjugate the realization by the line reflection theta -> -theta."""
-    import numpy as np
-
-    r = np.array([[1.0, 0.0], [0.0, -1.0]])
-    flipped = {name: _normalized(r @ m @ r) for name, m in group.generators.items()}
-    return FuchsianGroup(group.genus, flipped)
-
-
 def standard_group(genus: int) -> FuchsianGroup:
-    """Regular-4g-gon realization, orientation-normalized.
+    """Regular-4g-gon realization.
 
-    Verifies the relator within TOLERANCE, checks that all
-    reduced words of up to 3 letters are hyperbolic, and flips the
-    orientation if needed so that the relator Euler number is +(2g - 2).
-    Raises ConstructionError when a check fails, as the relator residual
-    check does at most genera from 45 on.
+    Verifies the relator within TOLERANCE, checks that all reduced words
+    of up to 3 letters are hyperbolic, and checks that the relator Euler
+    number is +(2g - 2), as the polygon's orientation gives it at every
+    realizable genus.  Raises ConstructionError when a check fails, as
+    the relator residual check does at most genera from 45 on.
     """
     if genus < 2:
         raise ValueError(f"genus must be >= 2, got {genus}")
@@ -483,16 +474,13 @@ def standard_group(genus: int) -> FuchsianGroup:
     _check_short_words_hyperbolic(group, 3)
     try:
         e = relator_euler_number(group)
-        if e == -(2 * genus - 2):
-            group = _reflect(group)
-            e = relator_euler_number(group)
     except IllConditionedError as exc:
         raise ConstructionError(
             f"genus {genus} cannot be realized: the relator Euler number "
             f"of its 4g-gon realization is ill-conditioned ({exc})") from None
     if e != 2 * genus - 2:
         raise ConstructionError(
-            f"relator Euler number {e}, expected +-{2 * genus - 2}")
+            f"relator Euler number {e}, expected 2g-2 = {2 * genus - 2}")
     return group
 
 

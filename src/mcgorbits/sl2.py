@@ -6,10 +6,11 @@ The block twists act on one (alpha_i, beta_i) pair through the matrices
     R = [[1, 1], [0, 1]]    (the B twist)
 
 which generate all of SL(2, Z/nZ).  No twist formula is written here:
-a block word is a `GeneratorWord` of A_1 and B_1 tokens, the letter
-matrices are read off the block slice of `action.generator_action`,
-`on_pair` replays a word on a pair through `action.replay_tokens`, and
-`on_block` moves a word to another block.
+a block word is a `GeneratorWord` of A_1 and B_1 tokens, `on_pair`
+replays a word on a pair through `action.replay_tokens`, the letter
+matrices are read off `on_pair` column by column, and `on_block` moves
+a word to another block.  Nothing here computes with arrays, so this
+module, `generate_sl2` included, never loads numpy.
 
 Pair words are built in closed form, with no tables: `clear_alpha`
 runs the Euclidean algorithm on the integer representatives of (a, b),
@@ -25,32 +26,14 @@ words; `verify --suite sl2` checks its closure against the group order.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
-from .action import (
-    EMPTY_WORD, GeneratorWord, generator_action, make_token, replay_tokens, simplify_word,
-)
-from .space import SpaceParams
+from .action import EMPTY_WORD, GeneratorWord, make_token, replay_tokens, simplify_word
 
 SL2_CAP = 10 ** 8  # the largest matrix space n^4 `generate_sl2` searches
 
 # the letters L, L^-1, R, R^-1 as block-1 tokens
 _LETTERS = tuple(make_token(kind, 1, e)
                  for kind, e in (("A", 1), ("A", -1), ("B", 1), ("B", -1)))
-
-
-@lru_cache(maxsize=128)
-def _letter_matrices(n: int) -> tuple:
-    """(m00, m01, m10, m11) mod n of each letter, in `_LETTERS` order.
-
-    Read from the block-1 slice of the letters' actions; only the group
-    closure `generate_sl2` steps with them.  An entry is four 4-tuples
-    of ints, under 1 KB, so the cache stays under 128 KB.
-    """
-    params = SpaceParams(2, n, strict_euler=False)
-    return tuple(
-        tuple(int(v) for v in generator_action(letter, params).linear[:2, :2].ravel())
-        for letter in _LETTERS)
 
 
 def _on_pair(m: tuple, a: int, b: int, n: int) -> tuple:
@@ -68,6 +51,20 @@ def on_pair(word: GeneratorWord, pair, n: int) -> tuple:
     coords = [pair[0] % n, pair[1] % n]
     replay_tokens(word.tokens, coords, n, 1)
     return tuple(coords)
+
+
+def _letter_matrices(n: int) -> tuple:
+    """(m00, m01, m10, m11) mod n of each letter, in `_LETTERS` order.
+
+    A letter's columns are its images of (1, 0) and (0, 1), read by
+    `on_pair`; only the group closure `generate_sl2` steps with them.
+    """
+    matrices = []
+    for letter in _LETTERS:
+        word = GeneratorWord((letter,))
+        (m00, m10), (m01, m11) = on_pair(word, (1, 0), n), on_pair(word, (0, 1), n)
+        matrices.append((m00, m01, m10, m11))
+    return tuple(matrices)
 
 
 def clear_alpha(pair, n: int) -> GeneratorWord:

@@ -50,12 +50,14 @@ class SpaceParams:
     Coverings along the fibers exist only when n divides 2g - 2; by
     default that is enforced.  The affine twist action itself is defined
     for every n, so `strict_euler=False` permits experiments outside that
-    regime (no classification claim is attached to them).
+    regime (no classification claim is attached to them).  The flag only
+    gates construction: params of one (g, n) are one space, equal and of
+    one hash whatever the flag.
     """
 
     g: int
     n: int
-    strict_euler: bool = True
+    strict_euler: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         g, n = _integer(self.g, "genus"), _integer(self.n, "index")
@@ -72,7 +74,7 @@ class SpaceParams:
         # the generated hash, computed once: a warm `normalize` hashes its
         # params in every `_tail` lookup, and the generated `__hash__`
         # would build and hash this tuple each time
-        object.__setattr__(self, "_hash", hash((g, n, self.strict_euler)))
+        object.__setattr__(self, "_hash", hash((g, n)))
 
     def __hash__(self):
         return self._hash

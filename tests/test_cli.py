@@ -456,6 +456,7 @@ assert main(["apply", "--g", "2", "--n", "2", "--element", "0,1,0,1",
              "--word", "A1 C1^3"]) == 0
 assert main(["classify", "--g", "4", "--n", "3",
              "--element", "1,2,0,1,2,2,0,1"]) == 0
+assert main(["verify", "--suite", "sl2"]) == 0
 print("numpy before the census:", "numpy" in sys.modules)
 assert main(["orbits", "--g", "3", "--n", "2"]) == 0
 print("numpy after the census:", "numpy" in sys.modules)

@@ -11,7 +11,7 @@ from mcgorbits.euler import (
     TOLERANCE, CocycleValue, FuchsianGroup, IllConditionedError, LiftedCircleMap,
     axes_cross, cocycle, conjugated_generator_word, fixed_angles, nu_consistency,
     parse_surface_word, relator_euler_number, sigma0_lift, standard_group,
-    _polygon_generators, _projective_distance, _reflect,
+    _polygon_generators, _projective_distance,
 )
 from mcgorbits.space import SpaceParams, make_element
 
@@ -187,9 +187,9 @@ def test_relator_euler_number(g2, g3):
 @pytest.mark.parametrize("genus", list(range(2, 45)) + [51, 52])
 def test_relator_euler_number_at_every_realizable_genus(genus):
     # the raw polygon realization, without the short-word check of
-    # standard_group; its orientation is not normalized, hence the abs
+    # standard_group: its orientation already gives the positive sign
     group = FuchsianGroup(genus, _polygon_generators(genus))
-    assert abs(relator_euler_number(group)) == 2 * genus - 2
+    assert relator_euler_number(group) == 2 * genus - 2
 
 
 def test_relator_closing_product_is_judged_at_group_tolerance():
@@ -199,7 +199,9 @@ def test_relator_closing_product_is_judged_at_group_tolerance():
 
 
 def test_orientation_reversal_negates(g2):
-    flipped = _reflect(g2)
+    # conjugate by the line reflection theta -> -theta, diag(1, -1)
+    r = np.diag([1.0, -1.0])
+    flipped = FuchsianGroup(2, {name: r @ m @ r for name, m in g2.generators.items()})
     assert relator_euler_number(flipped) == -2
     aprime = conjugated_generator_word(2)
     inv = tuple((n, -e) for (n, e) in reversed(aprime))

@@ -12,7 +12,7 @@ import pytest
 from mcgorbits import orbits
 from mcgorbits.action import Generator, apply_word, generator_action, replay_tokens
 from mcgorbits.invariants import vanishing_number, vanishing_number_array
-from mcgorbits.normalize import Certificate, normalize
+from mcgorbits.normalize import Certificate, normalize, same_orbit
 from mcgorbits.orbits import (
     BudgetConfigError, BudgetExceededError, MOD, MOD_PM,
     PathsUnavailableError, _commute, _image_kernel, _local_action, _mark,
@@ -550,6 +550,19 @@ def test_trace_path_rejects_foreign_elements():
     report = enumerate_orbits(params(2, 2), record_paths=True)
     with pytest.raises(ValueError):
         trace_path(report, zero_element(params(3, 2)))
+
+
+def test_same_orbit_and_trace_path_across_the_euler_flag():
+    # one (g, n) is one space whichever way its params were built
+    strict, loose = params(2, 2), params(2, 2, strict=False)
+    x = make_element(strict, [0, 1, 0, 1])
+    y = make_element(loose, [1, 1, 1, 1])
+    ok, cert = same_orbit(x, y)
+    assert ok and cert.replays()
+    for report_params, query in ((strict, y), (loose, x)):
+        report = enumerate_orbits(report_params, record_paths=True)
+        cert = trace_path(report, query)
+        assert cert.target == query and cert.replays()
 
 
 def test_trace_path_replays_everywhere():

@@ -1,5 +1,6 @@
 """Tests for the single-block SL(2, Z/nZ) word solver."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -46,6 +47,19 @@ def test_generate_sl2_is_entire_group():
         assert len(words) == brute_force_sl2_count(n)
         dets = {(a * d - b * c) % n for (a, b, c, d) in words}
         assert dets == {1 % n}
+
+
+# sha256 over "n matrix word" lines, in the closure's order, for n = 1..12:
+# the witnesses and their order must not depend on how the letters are read
+SL2_CLOSURE_SHA256 = "b4deeffd389c22ef6b9d032715b8344efd991eb26c70fbd6890f4bdb1deee638"
+
+
+def test_generate_sl2_is_unchanged():
+    h = hashlib.sha256()
+    for n in range(1, 13):
+        for key, word in generate_sl2(n).items():
+            h.update(f"{n} {key} {word}\n".encode())
+    assert h.hexdigest() == SL2_CLOSURE_SHA256
 
 
 def test_generate_sl2_witness_words():
