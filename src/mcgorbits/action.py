@@ -22,9 +22,9 @@ cheap for any k.
 The formulas are written once, as the scalar code of `replay_tokens`.
 `word_action` reads a word's affine map off it by replaying the whole
 word on 0 and on the unit vectors, and `generator_action` is the map of
-a one-token word; the orbit engine's delta tables read
-`generator_action` in turn, and the SL(2) letters of `sl2` are read off
-the kernel directly, on a pair.
+a one-token word.  The orbit engine reads its delta tables off the
+kernel the same way, replaying each generator on plain lists, and the
+SL(2) letters of `sl2` are read off the kernel directly, on a pair.
 
 Tokens, words and their replay compute without numpy; only the affine
 maps (`generator_action`, `word_action`) are arrays, and reading one

@@ -3,6 +3,14 @@
 Each function runs one check and returns what it found; the CLI prints
 the facts as ok/FAIL lines and the acceptance tests assert them, so
 both run the same code.
+
+The census is what a check pays for, so one census can serve two
+checks.  Given the space's vanishing table, `theorem_case` hands its
+mod census the batch hook of `vanishing_bounds` and returns the bounds
+beside the orbit count.  `verify --suite all` keeps them for that one
+invocation, and its invariants suite reads them in place of a second
+mod census, so it runs one census per (space, generator set).  Nothing
+here holds state from one call to the next.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from .space import SpaceParams, decode_array, make_element
 
 # states decoded per call while a vanishing table is built
 TABLE_CHUNK = 1 << 10
+# the largest space whose vanishing number is checked on every state
+INVARIANT_MAX_STATES = 10 ** 5
 
 
 def theorem_cases(max_states: float):
@@ -29,20 +39,39 @@ def theorem_cases(max_states: float):
                 yield g, n
 
 
+def invariant_cases(max_states: float):
+    """The even-n `theorem_cases` of at most INVARIANT_MAX_STATES states
+    (and at most max_states), whose vanishing number is checked on every
+    state."""
+    for g, n in theorem_cases(min(max_states, INVARIANT_MAX_STATES)):
+        if n % 2 == 0:
+            yield g, n
+
+
 class TheoremCheck(NamedTuple):
     orbit_count: int  # found by the census under the mod generators
     expected: int     # the theorem's count: 1 for odd n, 2 for even n
     vanishing: list   # the orbits' vanishing numbers, sorted (even n only)
+    bounds: dict | None = None  # the same census's mod `vanishing_bounds`
 
 
-def theorem_case(params: SpaceParams) -> TheoremCheck:
-    """Run the census of one space and set it beside the theorem."""
-    report = enumerate_orbits(params, MOD, record_paths=False)
+def theorem_case(params: SpaceParams, table=None) -> TheoremCheck:
+    """Run the census of one space and set it beside the theorem.
+
+    Given `table`, the space's `vanishing_table`, the census also
+    gathers the mod `vanishing_bounds`, returned as `bounds`; without
+    it `bounds` is None.
+    """
+    values = hook = None
+    if table is not None:
+        values = {}
+        hook = _vanishing_hook(table, values)
+    report = enumerate_orbits(params, MOD, record_paths=False, batch_hook=hook)
     vanishing = []
     if params.n % 2 == 0:
         vanishing = sorted(o.vanishing_number for o in report.orbits)
     return TheoremCheck(report.orbit_count, orbit_count_expected(params),
-                       vanishing)
+                       vanishing, None if values is None else _bounds(values))
 
 
 def vanishing_table(params: SpaceParams) -> np.ndarray:
@@ -70,17 +99,33 @@ def vanishing_bounds(params: SpaceParams, selector, table: np.ndarray) -> dict:
     hook, so there is one entry per orbit, and lo == hi exactly when the
     vanishing number is constant on that orbit.
     """
-    bounds = {}
+    values = {}
+    enumerate_orbits(params, selector, record_paths=False,
+                     batch_hook=_vanishing_hook(table, values))
+    return _bounds(values)
 
+
+def _vanishing_hook(table: np.ndarray, values: dict):
+    """A census batch hook that appends the vanishing numbers of each
+    batch of states, looked up in `table`, to values[ordinal].
+
+    The values are reduced once per orbit (`_bounds`), not once per
+    batch: they hold one byte per state, as the table does.
+    """
     def hook(ordinal, batch):
-        v = table.take(batch)
-        lo, hi = int(v.min()), int(v.max())
-        if ordinal in bounds:
-            lo = min(lo, bounds[ordinal][0])
-            hi = max(hi, bounds[ordinal][1])
-        bounds[ordinal] = (lo, hi)
+        values.setdefault(ordinal, []).append(table.take(batch))
 
-    enumerate_orbits(params, selector, record_paths=False, batch_hook=hook)
+    return hook
+
+
+def _bounds(values: dict) -> dict:
+    """{ordinal: (lo, hi)} of the values `_vanishing_hook` kept."""
+    import numpy as np
+
+    bounds = {}
+    for ordinal, parts in values.items():
+        v = np.concatenate(parts)
+        bounds[ordinal] = (int(v.min()), int(v.max()))
     return bounds
 
 

@@ -237,9 +237,18 @@ class Checker:
             print(f"FAIL {name} {detail}")
 
 
-def suite_theorem(args, chk: Checker) -> None:
+def suite_theorem(args, chk: Checker, censused=None) -> None:
+    """With `censused`, a dict, the mod census of each space the
+    invariants suite checks also gathers its vanishing bounds, which are
+    kept there as censused[g, n] = (table, mod bounds)."""
+    shared = set() if censused is None else set(
+        checks.invariant_cases(args.max_states))
     for g, n in checks.theorem_cases(args.max_states):
-        case = checks.theorem_case(SpaceParams(g, n))
+        params = SpaceParams(g, n)
+        table = checks.vanishing_table(params) if (g, n) in shared else None
+        case = checks.theorem_case(params, table)
+        if table is not None:
+            censused[g, n] = table, case.bounds
         chk.check(f"theorem g={g} n={n} orbit_count", case.orbit_count,
                   case.expected)
         if n % 2 == 0:
@@ -247,16 +256,21 @@ def suite_theorem(args, chk: Checker) -> None:
                       case.vanishing, [0, 1])
 
 
-def suite_invariants(args, chk: Checker) -> None:
+def suite_invariants(args, chk: Checker, censused=None) -> None:
+    """Reads the tables and mod bounds `suite_theorem` kept in
+    `censused`, and runs the censuses it finds no bounds for."""
     # vanishing number constant along orbits, exhaustively, incl. mod_pm:
     # every state of every orbit is looked up in the space's table
-    for g, n in checks.theorem_cases(min(args.max_states, 10 ** 5)):
-        if n % 2:
-            continue
+    for g, n in checks.invariant_cases(args.max_states):
         params = SpaceParams(g, n)
-        table = checks.vanishing_table(params)
+        table, kept = (censused or {}).pop((g, n), (None, None))
+        if table is None:
+            table = checks.vanishing_table(params)
         for selector in (MOD, MOD_PM):
-            bounds = checks.vanishing_bounds(params, selector, table)
+            if selector == MOD and kept is not None:
+                bounds = kept
+            else:
+                bounds = checks.vanishing_bounds(params, selector, table)
             chk.check_true(
                 f"invariants g={g} n={n} {selector} vanishing constant per orbit",
                 all(lo == hi for lo, hi in bounds.values()))
@@ -294,15 +308,19 @@ def suite_cocycle(args, chk: Checker) -> None:
 
 def cmd_verify(args) -> int:
     chk = Checker()
+    # one census per space and generator set: under --suite all the
+    # theorem suite's mod censuses gather the vanishing bounds that the
+    # invariants suite reads; they are held for this call only
+    censused = {} if args.suite == "all" else None
     suites = {
-        "theorem": suite_theorem,
-        "invariants": suite_invariants,
-        "sl2": suite_sl2,
-        "cocycle": suite_cocycle,
+        "theorem": lambda: suite_theorem(args, chk, censused),
+        "invariants": lambda: suite_invariants(args, chk, censused),
+        "sl2": lambda: suite_sl2(args, chk),
+        "cocycle": lambda: suite_cocycle(args, chk),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     for name in names:
-        suites[name](args, chk)
+        suites[name]()
     print(f"{chk.count - chk.failures}/{chk.count} checks passed")
     if chk.count == 0:
         print("error: no check ran; raise --max-states", file=sys.stderr)

@@ -9,9 +9,10 @@ an amount that depends only on the keys of the blocks it touches: A_i
 and B_i on key i, C_i on keys i and i+1, s on every key.  For each chunk
 of the frontier the g block keys are computed once and shared by every
 generator, and an image is the chunk plus one gather per touched key
-from a delta table.  The tables come from the generator's affine map
-(`action.generator_action`) evaluated on the local keys, so this module
-writes out no twist formula.
+from a delta table.  The tables come from the generator's sparse affine
+step, read straight off the twist kernel (`action.replay_tokens`)
+replayed on 0 and on the unit vectors, and evaluated on the local keys,
+so this module writes out no twist formula.
 
 The search uses the positive generators only: A_i, B_i, C_i with
 exponent +1, plus s for mod_pm.  Each of them permutes the finite state
@@ -77,8 +78,9 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 
-from .action import Generator, GeneratorWord, apply_word, generator_action
+from .action import Generator, GeneratorWord, apply_word, replay_tokens
 from .invariants import vanishing_number
 from .normalize import Certificate
 from .space import GnElement, SpaceParams, decode, encode
@@ -112,15 +114,34 @@ def _mark(visited: np.ndarray, idx: np.ndarray) -> np.ndarray:
     the census `idx` is one image row: a generator is a bijection and a
     level holds distinct states.
     """
-    import numpy as np
-
+    uint8, one, seven = _bit_operands()
     byte = idx >> 3
     # the mask of each state's bit within its byte
-    bit = np.left_shift(np.uint8(1), idx.astype(np.uint8) & 7)
-    fresh = np.flatnonzero(visited.take(byte) & bit == 0)
+    bit = one << (idx.astype(uint8) & seven)
+    fresh = ((visited.take(byte) & bit) == 0).nonzero()[0]
     if fresh.size:
-        np.add.at(visited, byte.take(fresh), bit.take(fresh))
+        import numpy as np
+
+        if fresh.size < idx.size:
+            byte, bit = byte.take(fresh), bit.take(fresh)
+        np.add.at(visited, byte, bit)
     return fresh
+
+
+@cache
+def _bit_operands() -> tuple:
+    """(np.uint8, np.uint8(1), np.uint8(7)) for `_mark`'s bit masks.
+
+    Made on first use, so importing this module leaves numpy unloaded,
+    and made once, not per call: on a row of a few dozen states the
+    per-call overheads are most of `_mark`'s cost.  The mask is a shift
+    of the bit index, not a gather from a table of the eight masks: the
+    gather is faster on such a row but four times slower on a
+    32,768-state row.
+    """
+    import numpy as np
+
+    return np.uint8, np.uint8(1), np.uint8(7)
 
 
 class BudgetExceededError(MemoryError):
@@ -187,8 +208,10 @@ def delta_table_bytes(generators, params: SpaceParams) -> int:
 
 
 def _local_action(gen: Generator, params: SpaceParams):
-    """(terms, step) for the generator's affine map x -> Lx + t
-    (`action.generator_action`).
+    """(terms, step) for the generator's affine map x -> Lx + t, read off
+    the twist kernel (`action.replay_tokens`): t is the image of 0, and
+    column j of L is the image of e_j minus t, as `action.word_action`
+    reads them, but on plain lists.
 
     `terms` is [(lo, hi)], the coordinates lo..hi-1 of each of its delta
     terms (`_term_blocks`).  `step` is the map minus the identity,
@@ -197,18 +220,25 @@ def _local_action(gen: Generator, params: SpaceParams):
     (the map moves nothing outside its terms and couples no two), which
     is checked here, so the map acts on each term's coordinates alone.
     """
-    import numpy as np
-
     g, n = params.g, params.n
-    action = generator_action(gen, params)
-    moved = (action.linear - np.eye(2 * g, dtype=np.int64)) % n
+    dim = 2 * g
+    token = (gen,)
+    origin = [0] * dim
+    replay_tokens(token, origin, n, g)
     step = {}
-    rows, cols = np.nonzero(moved)
-    for i, j, x in zip(rows.tolist(), cols.tolist(), moved[rows, cols].tolist()):
-        step.setdefault(i, {})[j] = x
-    rows = np.flatnonzero(action.translation)
-    for i, x in zip(rows.tolist(), action.translation[rows].tolist()):
-        step.setdefault(i, {})[2 * g] = x
+    for j in range(dim):
+        image = [0] * dim
+        image[j] = 1
+        replay_tokens(token, image, n, g)
+        image[j] -= 1  # (L - 1) e_j + t
+        if image != origin:  # column j of L - 1 may hold a nonzero entry
+            for i, (y, t) in enumerate(zip(image, origin)):
+                x = (y - t) % n
+                if x:
+                    step.setdefault(i, {})[j] = x
+    for i, t in enumerate(origin):
+        if t:
+            step.setdefault(i, {})[dim] = t
     terms = [(2 * block, 2 * (block + width))
              for block, width in _term_blocks(gen, g)]
     for i, row in step.items():
@@ -225,13 +255,13 @@ def _delta_table(lo: int, hi: int, step: dict, n: int) -> np.ndarray:
     import numpy as np
 
     keys = np.arange(n ** (hi - lo), dtype=np.int64)
-    digits = [keys // n ** k % n for k in range(hi - lo)]
     delta = np.zeros_like(keys)
-    for i in range(lo, hi):
-        if i in step:
-            image = digits[i - lo] + sum(
-                x * (digits[j - lo] if j < hi else 1) for j, x in step[i].items())
-            delta += (image % n - digits[i - lo]) * n ** i
+    moved = [i for i in range(lo, hi) if i in step]
+    digits = [keys // n ** k % n for k in range(hi - lo)] if moved else []
+    for i in moved:
+        image = digits[i - lo] + sum(
+            x * (digits[j - lo] if j < hi else 1) for j, x in step[i].items())
+        delta += (image % n - digits[i - lo]) * n ** i
     return delta
 
 
@@ -569,7 +599,8 @@ def enumerate_orbits(
                     fresh = _mark(visited, nxt)
                     if fresh.size == 0:
                         continue
-                    nxt = nxt.take(fresh)
+                    if fresh.size < nxt.size:
+                        nxt = nxt.take(fresh)
                     if record_paths:
                         parent[nxt] = chunk.take(fresh)
                         parent_gen[nxt] = gen_id

@@ -421,6 +421,33 @@ def test_corrupted_vanishing_value_fails_the_invariants_suite(capsys, monkeypatc
     assert lines[-1] == f"{len(lines) - 3}/{len(lines) - 1} checks passed"
 
 
+def test_verify_runs_one_census_per_space_and_generator_set(capsys, monkeypatch):
+    # --suite all: the theorem suite's mod census of an even space also
+    # gathers the vanishing bounds the invariants suite reads; --suite
+    # invariants alone runs both of its censuses itself
+    real = checks.enumerate_orbits
+    calls = []
+
+    def enumerate_orbits(params, gens, *args, **kwargs):
+        calls.append((params.g, params.n, gens))
+        return real(params, gens, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "enumerate_orbits", enumerate_orbits)
+    theorem = list(checks.theorem_cases(1e6))
+    even = list(checks.invariant_cases(1e6))
+    assert (len(theorem), len(even)) == (14, 7)
+    for suite, count, expected in (
+            ("all", 21, [(g, n, "mod") for g, n in theorem]
+                        + [(g, n, "mod_pm") for g, n in even]),
+            ("invariants", 14, [(g, n, gens) for g, n in even
+                                for gens in ("mod", "mod_pm")])):
+        calls.clear()
+        code, _, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert len(calls) == count, suite
+        assert calls == expected, suite
+
+
 def test_closed_pipe_is_not_a_traceback():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(

@@ -19,7 +19,7 @@ from mcgorbits.orbits import (
     delta_table_bytes, enumerate_orbits, positive_generators, trace_path,
 )
 from mcgorbits.space import (
-    AffineMap, SpaceParams, compose, decode, decode_array, encode, make_element,
+    SpaceParams, compose, decode, decode_array, encode, make_element,
     zero_element,
 )
 
@@ -445,18 +445,43 @@ def test_commutation_relation_is_the_chain(n):
                 assert reach[u] == 1 + max(later, default=u)
 
 
+def _sparse_step(action, n):
+    """The affine map minus the identity, in `_local_action`'s sparse
+    form: {i: {j: entry (i, j) of L - 1 mod n, 2g: t_i}}, nonzero only."""
+    dim = action.linear.shape[0]
+    moved = (action.linear - np.eye(dim, dtype=np.int64)) % n
+    dense = np.column_stack([moved, action.translation % n]).tolist()
+    step = {i: {j: x for j, x in enumerate(row) if x}
+            for i, row in enumerate(dense)}
+    return {i: row for i, row in step.items() if row}
+
+
+def test_local_action_step_is_the_sparse_generator_action():
+    # the step is read off the twist kernel on plain lists; it must be
+    # the affine map `generator_action` reads off the same kernel
+    for g in range(2, 8):
+        for n in range(1, 14):
+            p = params(g, n, strict=False)
+            for selector in (MOD, MOD_PM):
+                for gen in positive_generators(p, selector):
+                    _, step = _local_action(gen, p)
+                    expected = _sparse_step(generator_action(gen, p), n)
+                    assert step == expected, (g, n, str(gen))
+
+
 @pytest.mark.parametrize("part", ["linear", "translation"])
 def test_local_action_rejects_a_map_outside_its_terms(monkeypatch, part):
     # A1's only term is block 1; couple beta_1 to alpha_2, or move alpha_2
     p = params(2, 3, strict=False)
-    real = generator_action(Generator("A", 1), p)
-    linear, translation = real.linear.copy(), real.translation.copy()
-    if part == "linear":
-        linear[1, 2] = 1
-    else:
-        translation[2] = 1
-    monkeypatch.setattr(orbits, "generator_action",
-                        lambda gen, params: AffineMap(p.n, linear, translation))
+
+    def kernel(tokens, coords, n, g):
+        replay_tokens(tokens, coords, n, g)
+        if part == "linear":
+            coords[1] = (coords[1] + coords[2]) % n
+        else:
+            coords[2] = (coords[2] + 1) % n
+
+    monkeypatch.setattr(orbits, "replay_tokens", kernel)
     with pytest.raises(ValueError, match="is not local to its blocks"):
         _local_action(Generator("A", 1), p)
 
