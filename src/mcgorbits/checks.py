@@ -4,13 +4,12 @@ Each function runs one check and returns what it found; the CLI prints
 the facts as ok/FAIL lines and the acceptance tests assert them, so
 both run the same code.
 
-The census is what a check pays for, so one census can serve two
-checks.  Given the space's vanishing table, `theorem_case` hands its
-mod census the batch hook of `vanishing_bounds` and returns the bounds
-beside the orbit count.  `verify --suite all` keeps them for that one
-invocation, and its invariants suite reads them in place of a second
-mod census, so it runs one census per (space, generator set).  Nothing
-here holds state from one call to the next.
+The census is what a check pays for, so one census serves every check
+of its space and generator set: `census_case` returns the orbit count
+beside the theorem's, the orbits' vanishing numbers and, given the
+space's vanishing table, the bounds of the vanishing number on each
+orbit.  `verify` looks each census up once per invocation, whichever
+suite asks first.  Nothing here holds state from one call to the next.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from . import euler
 from .action import apply_word
 from .invariants import orbit_count_expected, vanishing_number_array
 from .normalize import macro_word
-from .orbits import MOD, enumerate_orbits
+from .orbits import enumerate_orbits
 from .space import SpaceParams, decode_array, make_element
 
 # states decoded per call while a vanishing table is built
@@ -48,30 +47,44 @@ def invariant_cases(max_states: float):
             yield g, n
 
 
-class TheoremCheck(NamedTuple):
-    orbit_count: int  # found by the census under the mod generators
+class CensusCheck(NamedTuple):
+    orbit_count: int  # found by the census
     expected: int     # the theorem's count: 1 for odd n, 2 for even n
     vanishing: list   # the orbits' vanishing numbers, sorted (even n only)
-    bounds: dict | None = None  # the same census's mod `vanishing_bounds`
+    bounds: dict | None  # {orbit ordinal: (lo, hi)} of the vanishing numbers
 
 
-def theorem_case(params: SpaceParams, table=None) -> TheoremCheck:
-    """Run the census of one space and set it beside the theorem.
+def census_case(params: SpaceParams, selector, table=None) -> CensusCheck:
+    """Run the census of one space under `selector` and set it beside
+    the theorem.
 
-    Given `table`, the space's `vanishing_table`, the census also
-    gathers the mod `vanishing_bounds`, returned as `bounds`; without
-    it `bounds` is None.
+    Given `table`, the space's `vanishing_table`, a batch hook looks
+    every state up in it, and `bounds` holds one (lo, hi) per orbit,
+    with lo == hi exactly when the vanishing number is constant on that
+    orbit; without it `bounds` is None.  The hook keeps each batch's
+    values, one byte per state, and reduces them once per orbit.
     """
     values = hook = None
     if table is not None:
         values = {}
-        hook = _vanishing_hook(table, values)
-    report = enumerate_orbits(params, MOD, record_paths=False, batch_hook=hook)
-    vanishing = []
-    if params.n % 2 == 0:
-        vanishing = sorted(o.vanishing_number for o in report.orbits)
-    return TheoremCheck(report.orbit_count, orbit_count_expected(params),
-                       vanishing, None if values is None else _bounds(values))
+
+        def hook(ordinal, batch):
+            values.setdefault(ordinal, []).append(table.take(batch))
+
+    report = enumerate_orbits(params, selector, record_paths=False,
+                              batch_hook=hook)
+    vanishing = (sorted(o.vanishing_number for o in report.orbits)
+                 if params.n % 2 == 0 else [])
+    bounds = None
+    if values is not None:
+        import numpy as np
+
+        bounds = {}
+        for ordinal, parts in values.items():
+            v = np.concatenate(parts)
+            bounds[ordinal] = (int(v.min()), int(v.max()))
+    return CensusCheck(report.orbit_count, orbit_count_expected(params),
+                       vanishing, bounds)
 
 
 def vanishing_table(params: SpaceParams) -> np.ndarray:
@@ -89,44 +102,6 @@ def vanishing_table(params: SpaceParams) -> np.ndarray:
         table[start:stop] = vanishing_number_array(
             decode_array(np.arange(start, stop), params))
     return table
-
-
-def vanishing_bounds(params: SpaceParams, selector, table: np.ndarray) -> dict:
-    """{orbit ordinal: (lo, hi)} of the vanishing numbers on each orbit.
-
-    Runs the census with a batch hook that looks each state up in
-    `table`, the space's `vanishing_table`.  Every state reaches the
-    hook, so there is one entry per orbit, and lo == hi exactly when the
-    vanishing number is constant on that orbit.
-    """
-    values = {}
-    enumerate_orbits(params, selector, record_paths=False,
-                     batch_hook=_vanishing_hook(table, values))
-    return _bounds(values)
-
-
-def _vanishing_hook(table: np.ndarray, values: dict):
-    """A census batch hook that appends the vanishing numbers of each
-    batch of states, looked up in `table`, to values[ordinal].
-
-    The values are reduced once per orbit (`_bounds`), not once per
-    batch: they hold one byte per state, as the table does.
-    """
-    def hook(ordinal, batch):
-        values.setdefault(ordinal, []).append(table.take(batch))
-
-    return hook
-
-
-def _bounds(values: dict) -> dict:
-    """{ordinal: (lo, hi)} of the values `_vanishing_hook` kept."""
-    import numpy as np
-
-    bounds = {}
-    for ordinal, parts in values.items():
-        v = np.concatenate(parts)
-        bounds[ordinal] = (int(v.min()), int(v.max()))
-    return bounds
 
 
 def macro_exact(g: int, n: int) -> bool:

@@ -5,7 +5,9 @@ n | 2g-2 regime are permitted only with --allow-invalid-euler and are
 watermarked in the output, or on stderr where the output format has no
 place for it.  Verification suites exit nonzero on any failed check and
 print one line per check; the checks themselves live in `checks`, which
-the acceptance tests run too.
+the acceptance tests run too.  One `verify` call runs each census once:
+the theorem and invariants suites both read it through one lookup that
+lives as long as the call.
 """
 
 from __future__ import annotations
@@ -237,18 +239,9 @@ class Checker:
             print(f"FAIL {name} {detail}")
 
 
-def suite_theorem(args, chk: Checker, censused=None) -> None:
-    """With `censused`, a dict, the mod census of each space the
-    invariants suite checks also gathers its vanishing bounds, which are
-    kept there as censused[g, n] = (table, mod bounds)."""
-    shared = set() if censused is None else set(
-        checks.invariant_cases(args.max_states))
+def suite_theorem(args, chk: Checker, census) -> None:
     for g, n in checks.theorem_cases(args.max_states):
-        params = SpaceParams(g, n)
-        table = checks.vanishing_table(params) if (g, n) in shared else None
-        case = checks.theorem_case(params, table)
-        if table is not None:
-            censused[g, n] = table, case.bounds
+        case = census(g, n, MOD)
         chk.check(f"theorem g={g} n={n} orbit_count", case.orbit_count,
                   case.expected)
         if n % 2 == 0:
@@ -256,21 +249,12 @@ def suite_theorem(args, chk: Checker, censused=None) -> None:
                       case.vanishing, [0, 1])
 
 
-def suite_invariants(args, chk: Checker, censused=None) -> None:
-    """Reads the tables and mod bounds `suite_theorem` kept in
-    `censused`, and runs the censuses it finds no bounds for."""
+def suite_invariants(args, chk: Checker, census) -> None:
     # vanishing number constant along orbits, exhaustively, incl. mod_pm:
     # every state of every orbit is looked up in the space's table
     for g, n in checks.invariant_cases(args.max_states):
-        params = SpaceParams(g, n)
-        table, kept = (censused or {}).pop((g, n), (None, None))
-        if table is None:
-            table = checks.vanishing_table(params)
         for selector in (MOD, MOD_PM):
-            if selector == MOD and kept is not None:
-                bounds = kept
-            else:
-                bounds = checks.vanishing_bounds(params, selector, table)
+            bounds = census(g, n, selector).bounds
             chk.check_true(
                 f"invariants g={g} n={n} {selector} vanishing constant per orbit",
                 all(lo == hi for lo, hi in bounds.values()))
@@ -307,14 +291,25 @@ def suite_cocycle(args, chk: Checker) -> None:
 
 
 def cmd_verify(args) -> int:
+    import functools
+
     chk = Checker()
-    # one census per space and generator set: under --suite all the
-    # theorem suite's mod censuses gather the vanishing bounds that the
-    # invariants suite reads; they are held for this call only
-    censused = {} if args.suite == "all" else None
+    invariant = set(checks.invariant_cases(args.max_states))
+    table = functools.cache(
+        lambda g, n: checks.vanishing_table(SpaceParams(g, n)))
+
+    @functools.cache
+    def census(g, n, selector):
+        """One census per space and generator set for this call; in a
+        space the invariants suite checks it gathers the vanishing
+        bounds, whichever suite asks first."""
+        return checks.census_case(
+            SpaceParams(g, n), selector,
+            table(g, n) if (g, n) in invariant else None)
+
     suites = {
-        "theorem": lambda: suite_theorem(args, chk, censused),
-        "invariants": lambda: suite_invariants(args, chk, censused),
+        "theorem": lambda: suite_theorem(args, chk, census),
+        "invariants": lambda: suite_invariants(args, chk, census),
         "sl2": lambda: suite_sl2(args, chk),
         "cocycle": lambda: suite_cocycle(args, chk),
     }

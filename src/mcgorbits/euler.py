@@ -132,11 +132,21 @@ def fixed_angles(m: np.ndarray):
 
 
 def _projective_distance(m: np.ndarray) -> float:
-    """Largest entry of m - I or of m + I, whichever is smaller."""
-    import numpy as np
+    """Largest entry of m - I or of m + I, whichever is smaller; NaN if
+    any entry of m is NaN.
 
-    return min(float(np.max(np.abs(m - np.eye(2)))),
-               float(np.max(np.abs(m + np.eye(2)))))
+    Read entry by entry as Python floats: x - 1.0, x + 1.0 and |x| are
+    the same IEEE operations numpy does, and an off-diagonal x - 0.0
+    has the same magnitude as x, so the value is bit for bit that of
+    the matrix form.  Python's `max` can drop a NaN, so a NaN entry is
+    caught first.
+    """
+    (a, b), (c, d) = m.tolist()
+    if any(map(math.isnan, (a, b, c, d))):
+        return math.nan
+    off = max(abs(b), abs(c))
+    return min(max(abs(a - 1.0), off, abs(d - 1.0)),
+               max(abs(a + 1.0), off, abs(d + 1.0)))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,21 @@ For even n the complete invariant is the vanishing number: reduce all
 coordinates mod 2 and count the handle blocks whose (alpha_i, beta_i)
 pair is (0, 0); only its parity matters.  The per-block gcd content is
 preserved by the A/B subgroup (not by C).
+
+For even n the two orbits are the vanishing number's level sets, so
+their sizes have a closed form:
+
+    vanishing number 0:  (n/2)^(2g) * 2^(g-1) * (2^g + 1)
+    vanishing number 1:  (n/2)^(2g) * 2^(g-1) * (2^g - 1)
+
+The vanishing number depends only on the reduction mod 2, a map
+(Z/n)^(2g) -> (Z/2)^(2g) whose fibres all have (n/2)^(2g) states.  In
+(Z/2)^(2g) each block is (0, 0) in 1 way and nonzero in 3, so the
+vectors with k zero blocks number C(g, k) 3^(g-k), and those with k
+even, less those with k odd, number (3 - 1)^g = 2^g out of 4^g in all.
+Hence (4^g + 2^g)/2 = 2^(g-1)(2^g + 1) have vanishing number 0 and
+(4^g - 2^g)/2 = 2^(g-1)(2^g - 1) have 1: at g = 2, n = 2 these are the
+orbits of 10 and 6 states.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ from mcgorbits.action import (
     Generator, GeneratorWord, apply_word, generator_action, make_token, word_action,
 )
 from mcgorbits.checks import (
-    aprime_cocycle, cocycle_sample, macro_exact, theorem_case, vanishing_bounds,
-    vanishing_table,
+    aprime_cocycle, census_case, cocycle_sample, macro_exact, vanishing_table,
 )
 from mcgorbits.euler import (
     SamplingCapError, relator_euler_number, sample_cocycles, standard_group,
@@ -40,7 +39,7 @@ def _pass(number, message):
 def test_criterion_01_odd_index_single_orbit():
     counts = {}
     for g, n in ODD_CASES:
-        case = theorem_case(SpaceParams(g, n))
+        case = census_case(SpaceParams(g, n), MOD)
         counts[(g, n)] = case.orbit_count
         assert case.orbit_count == case.expected == 1, f"(g={g}, n={n})"
     _pass(1, f"odd n gives a single orbit for {list(counts)}")
@@ -48,7 +47,7 @@ def test_criterion_01_odd_index_single_orbit():
 
 def test_criterion_02_even_index_two_orbits():
     for g, n in EVEN_CASES:
-        case = theorem_case(SpaceParams(g, n))
+        case = census_case(SpaceParams(g, n), MOD)
         assert case.orbit_count == case.expected == 2, f"(g={g}, n={n})"
         assert case.vanishing == [0, 1], f"(g={g}, n={n})"
     _pass(2, f"even n gives exactly two orbits for {list(EVEN_CASES)}")
@@ -71,7 +70,7 @@ def test_criterion_04_vanishing_number_constant_and_separating():
     for g, n in EVEN_CASES:
         p = SpaceParams(g, n)
         for selector in (MOD, MOD_PM):
-            bounds = vanishing_bounds(p, selector, vanishing_table(p))
+            bounds = census_case(p, selector, vanishing_table(p)).bounds
             assert len(bounds) == 2, (g, n, selector)  # one entry per orbit
             values = []
             for ordinal, (lo, hi) in bounds.items():

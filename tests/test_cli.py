@@ -448,6 +448,39 @@ def test_verify_runs_one_census_per_space_and_generator_set(capsys, monkeypatch)
         assert calls == expected, suite
 
 
+def test_single_census_suites_print_their_slice_of_all(capsys):
+    # both suites read one census lookup, whichever runs: a suite alone
+    # prints exactly its run of `--suite all`'s lines, then its count
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    lines = out.splitlines()[:-1]
+    for suite in ("theorem", "invariants"):
+        part = [line for line in lines if line.split()[1] == suite]
+        start = lines.index(part[0])
+        assert lines[start:start + len(part)] == part
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert out.splitlines() == part + [
+            f"{len(part)}/{len(part)} checks passed"], suite
+
+
+def test_verify_keeps_no_census_between_calls(capsys, monkeypatch):
+    # the census lookup lives as long as one verify call
+    real = checks.enumerate_orbits
+    calls = []
+
+    def enumerate_orbits(params, gens, *args, **kwargs):
+        calls.append((params.g, params.n, gens))
+        return real(params, gens, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "enumerate_orbits", enumerate_orbits)
+    for _ in range(2):
+        calls.clear()
+        assert main(["verify", "--suite", "invariants"]) == 0
+        assert len(calls) == 14
+    capsys.readouterr()
+
+
 def test_closed_pipe_is_not_a_traceback():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(

@@ -250,6 +250,35 @@ def test_lift_keeps_fresh_fixed_angles_and_triviality(g2):
                 assert lift.fixed_angles == fresh
 
 
+def _matrix_distance(m):
+    # the matrix form the scalar reads replace
+    return min(float(np.max(np.abs(m - np.eye(2)))),
+               float(np.max(np.abs(m + np.eye(2)))))
+
+
+def test_projective_distance_is_bit_identical_to_the_matrix_form(g2):
+    rng = random.Random(5)
+    mats = [g2.evaluate(rand_word(rng, 2, rng.randrange(0, 7))) for _ in range(200)]
+    mats += [np.array([[-0.0, 0.0], [-0.0, 1.0]]),
+             np.array([[-1.0, -0.0], [0.0, -1.0]]),
+             np.eye(2) + 1e-7, -np.eye(2) - 1e-7,
+             np.array([[math.inf, 0.0], [0.0, 1.0]])]
+    for m in mats:
+        assert _projective_distance(m) == _matrix_distance(m)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("entry", ((0, 0), (0, 1), (1, 0), (1, 1)))
+def test_projective_distance_keeps_nan(sign, entry):
+    # Python's max drops a NaN that is not its first argument; a matrix
+    # with a NaN entry must still read NaN, and so not trivial
+    m = sign * np.eye(2)
+    m[entry] = math.nan
+    assert math.isnan(_matrix_distance(m))
+    assert math.isnan(_projective_distance(m))
+    assert not LiftedCircleMap(m).is_trivial()
+
+
 def test_lift_of_elliptic_matrix_raises_when_called_not_built():
     rotation = np.array([[math.cos(0.3), -math.sin(0.3)],
                          [math.sin(0.3), math.cos(0.3)]])

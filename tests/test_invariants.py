@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from mcgorbits.action import Generator, GeneratorWord, apply_word
+from mcgorbits.checks import theorem_cases
 from mcgorbits.invariants import (
     InvariantUndefinedError, block_content, vanishing_number,
     vanishing_number_array,
 )
+from mcgorbits.orbits import MOD, MOD_PM, enumerate_orbits
 from mcgorbits.space import (
     SpaceParams, decode, decode_array, make_element, zero_element,
 )
@@ -87,3 +89,18 @@ def test_block_content_invariant_under_block_words():
                 for _ in range(rng.randrange(1, 6)))
             y = apply_word(GeneratorWord(tokens), x)
             assert block_content(y, i) == block_content(x, i)
+
+
+@pytest.mark.parametrize("selector", (MOD, MOD_PM))
+def test_orbit_sizes_match_the_mod_2_count(selector):
+    # the closed form of the module docstring, on every even theorem space
+    spaces = [(g, n) for g, n in theorem_cases(1e6) if n % 2 == 0]
+    assert len(spaces) == 7
+    for g, n in spaces:
+        report = enumerate_orbits(SpaceParams(g, n), selector, record_paths=False)
+        assert report.orbit_count == 2, (g, n)
+        fiber = (n // 2) ** (2 * g)
+        assert {o.vanishing_number: o.size for o in report.orbits} == {
+            0: fiber * 2 ** (g - 1) * (2 ** g + 1),
+            1: fiber * 2 ** (g - 1) * (2 ** g - 1),
+        }, (g, n)
