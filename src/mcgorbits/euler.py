@@ -258,6 +258,8 @@ class FuchsianGroup:
 
     `generators` maps names "a1".."ag", "b1".."bg" to matrices; the
     relator [a1,b1]...[ag,bg] holds projectively within TOLERANCE.
+    Every product starts from one read-only identity kept on the group,
+    so `generator` and `evaluate` make no identity of their own.
     """
 
     def __init__(self, genus: int, generators: dict):
@@ -265,6 +267,8 @@ class FuchsianGroup:
 
         self.genus = genus
         self.generators = dict(generators)
+        self._identity = np.eye(2)
+        self._identity.setflags(write=False)
         self._inverses = {name: _normalized(np.array(
             [[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]))
             for name, m in self.generators.items()}
@@ -278,10 +282,8 @@ class FuchsianGroup:
             return m
         if name not in self.generators:
             raise KeyError(f"unknown generator {name!r} for genus {self.genus}")
-        import numpy as np
-
         base = self.generators[name] if exponent > 0 else self._inverses[name]
-        m = np.eye(2)
+        m = self._identity
         for _ in range(abs(exponent)):
             m = _normalized(m @ base)
         m.setflags(write=False)
@@ -289,12 +291,11 @@ class FuchsianGroup:
         return m
 
     def evaluate(self, word) -> np.ndarray:
-        """Matrix of a word, given as text or (name, exponent) tokens."""
-        import numpy as np
-
+        """Matrix of a word, given as text or (name, exponent) tokens; the
+        empty word gives the group's read-only identity."""
         if isinstance(word, str):
             word = parse_surface_word(word)
-        m = np.eye(2)
+        m = self._identity
         for name, exp in word:
             m = _normalized(m @ self.generator(name, exp))
         return m

@@ -8,8 +8,10 @@ is one digit key alpha_i + n*beta_i.  Each generator moves the index by
 an amount that depends only on the keys of the blocks it touches: A_i
 and B_i on key i, C_i on keys i and i+1, s on every key.  For each chunk
 of the frontier the g block keys are computed once and shared by every
-generator, and an image is the chunk plus one gather per touched key
-from a delta table.  The tables come from the generator's sparse affine
+generator.  An image is the chunk plus one gather per term from the
+term's delta table: A_i and B_i gather on key i, s on each key, and C_i
+on key_i + n^2 key_{i+1}, which C_i's row alone reads and so builds
+itself.  The tables come from the generator's sparse affine
 step, read straight off the twist kernel (`action.replay_tokens`)
 replayed on 0 and on the unit vectors, and evaluated on the local keys,
 so this module writes out no twist formula.
@@ -182,11 +184,9 @@ def positive_generators(params: SpaceParams, selector: GeneratorSet) -> tuple:
 
 def _term_blocks(gen: Generator, g: int) -> list:
     """[(first block, block count)] of each delta term of `gen`."""
-    if gen.kind in ("A", "B"):
-        return [(gen.index - 1, 1)]
-    if gen.kind == "C":
-        return [(gen.index - 1, 2)]
-    return [(j, 1) for j in range(g)]
+    if gen.kind == "s":
+        return [(j, 1) for j in range(g)]
+    return [(gen.index - 1, 2 if gen.kind == "C" else 1)]
 
 
 def delta_table_bytes(generators, params: SpaceParams) -> int:
@@ -213,8 +213,8 @@ def _local_action(gen: Generator, params: SpaceParams):
     column j of L is the image of e_j minus t, as `action.word_action`
     reads them, but on plain lists.
 
-    `terms` is [(lo, hi)], the coordinates lo..hi-1 of each of its delta
-    terms (`_term_blocks`).  `step` is the map minus the identity,
+    `terms` is [(first block, block count)] of its delta terms
+    (`_term_blocks`).  `step` is the map minus the identity,
     sparse: step[i][j] is the nonzero entry (i, j) of L - 1 mod n, and
     step[i][2g] the nonzero t_i.  Every entry must lie within one term
     (the map moves nothing outside its terms and couples no two), which
@@ -239,21 +239,23 @@ def _local_action(gen: Generator, params: SpaceParams):
     for i, t in enumerate(origin):
         if t:
             step.setdefault(i, {})[dim] = t
-    terms = [(2 * block, 2 * (block + width))
-             for block, width in _term_blocks(gen, g)]
+    terms = _term_blocks(gen, g)
     for i, row in step.items():
-        if not any(lo <= i < hi and all(lo <= j < hi for j in row if j != 2 * g)
-                   for lo, hi in terms):
+        touched = {i // 2} | {j // 2 for j in row if j != dim}
+        if not any(block <= min(touched) and max(touched) < block + width
+                   for block, width in terms):
             raise ValueError(f"{gen} is not local to its blocks")
     return terms, step
 
 
-def _delta_table(lo: int, hi: int, step: dict, n: int) -> np.ndarray:
-    """delta[key] = gen(x) - x for the local digit key of coordinates
-    lo..hi-1 (digit k weighs n^k), vectorized over the keys; `step` is
-    the generator's sparse map minus the identity (`_local_action`)."""
+def _delta_table(block: int, width: int, step: dict, n: int) -> np.ndarray:
+    """delta[key] = gen(x) - x for the local digit key of the coordinates
+    of blocks block..block+width-1 (digit k weighs n^k), vectorized over
+    the keys; `step` is the generator's sparse map minus the identity
+    (`_local_action`)."""
     import numpy as np
 
+    lo, hi = 2 * block, 2 * (block + width)
     keys = np.arange(n ** (hi - lo), dtype=np.int64)
     delta = np.zeros_like(keys)
     moved = [i for i in range(lo, hi) if i in step]
@@ -291,21 +293,12 @@ def _reach(local: list, n: int) -> list:
     commute.  The candidates are tried from the last one down, so a
     generator whose last neighbour fails to commute costs one check.
     """
-    on_block = {}
-    for j, (terms, _) in enumerate(local):
-        for lo, hi in terms:
-            for block in range(lo // 2, hi // 2):
-                on_block.setdefault(block, set()).add(j)
-    reach = []
-    for u, (terms, step) in enumerate(local):
-        near = set()
-        for lo, hi in terms:
-            for block in range(lo // 2, hi // 2):
-                near |= on_block[block]
-        last = next((v for v in sorted(near, reverse=True)
-                     if v > u and not _commute(step, local[v][1], n)), u)
-        reach.append(last + 1)
-    return reach
+    blocks = [{b for block, width in terms for b in range(block, block + width)}
+              for terms, _ in local]
+    return [1 + next((v for v in range(len(local) - 1, u, -1)
+                      if blocks[u] & blocks[v]
+                      and not _commute(step, local[v][1], n)), u)
+            for u, (_, step) in enumerate(local)]
 
 
 def _image_kernel(gens, params: SpaceParams):
@@ -314,9 +307,10 @@ def _image_kernel(gens, params: SpaceParams):
     `reach` is the generators' `_reach`.
     `images(chunk, counts)` yields the images of chunk[:counts[j]] under
     generator j, one row at a time, for each j while counts[j] > 0;
-    counts must not increase.  The g block keys (and the g - 1 keys of
-    adjacent block pairs) are computed once per chunk, each on the
-    longest prefix a row reads, and shared by every generator, so an
+    counts must not increase.  The g block keys are computed once per
+    chunk, each on the longest prefix a row reads, and shared by every
+    generator; C_i's row, the only reader of the key of blocks i and
+    i + 1, builds it as key_i + n^2 key_{i+1} on its own prefix.  So an
     image is one gather per term plus one add.
     """
     g, n = params.g, params.n
@@ -324,25 +318,14 @@ def _image_kernel(gens, params: SpaceParams):
     shift = n2.bit_length() - 1 if n2 & (n2 - 1) == 0 else 0
     local = [_local_action(gen, params) for gen in gens]
     reach = _reach(local, n)
-    tables = []
-    for terms, step in local:
-        tables.append([(lo // 2 if hi - lo == 2 else g + lo // 2,
-                        _delta_table(lo, hi, step, n))
-                       for lo, hi in terms])
-    # first[s]: the first row that reads key slot s, or a pair key built
-    # from it.  A block key is cut from the quotient left by the blocks
-    # before it, so block i's key is computed on a prefix at least as
-    # long as every later block's.
-    last_row = len(gens) - 1
-    first = [last_row] * (2 * g - 1)
-    for j, terms in enumerate(tables):
-        for slot, _ in terms:
-            first[slot] = min(first[slot], j)
-            if slot >= g:
-                first[slot - g] = min(first[slot - g], j)
-                first[slot - g + 1] = min(first[slot - g + 1], j)
-    for i in range(g - 2, -1, -1):
-        first[i] = min(first[i], first[i + 1])
+    tables = [[(block, width, _delta_table(block, width, step, n))
+               for block, width in terms] for terms, step in local]
+    # first[i]: the first row that reads block i's key or a later one.
+    # A block key is cut from the quotient left by the blocks before it,
+    # so its prefix is at least as long as every later block key's.
+    first = [next((j for j, (terms, _) in enumerate(local)
+                   if any(block + width > i for block, width in terms)),
+                  len(gens) - 1) for i in range(g)]
 
     def images(chunk, counts):
         keys = []
@@ -357,16 +340,18 @@ def _image_kernel(gens, params: SpaceParams):
                 keys.append(q - rest * n2)
                 q = rest[:size]
         keys.append(q)
-        for i in range(g - 1):
-            size = counts[first[g + i]]
-            keys.append(keys[i][:size] + n2 * keys[i + 1][:size])
+
+        def key(block, width, size):
+            key = keys[block][:size]
+            return key if width == 1 else key + n2 * keys[block + 1][:size]
+
         for terms, size in zip(tables, counts):
             if size == 0:
                 break
-            (slot, delta), *rest = terms
-            row = chunk[:size] + delta.take(keys[slot][:size])
-            for slot, delta in rest:
-                row += delta.take(keys[slot][:size])
+            (block, width, delta), *rest = terms
+            row = chunk[:size] + delta.take(key(block, width, size))
+            for block, width, delta in rest:
+                row += delta.take(key(block, width, size))
             yield row
 
     return images, reach
@@ -561,15 +546,10 @@ def enumerate_orbits(
     scan_byte = 0  # all bytes before this are 0xFF
     while True:
         # find the next unvisited state: its index is the orbit minimum
-        while scan_byte < nbytes and visited[scan_byte] == 0xFF:
-            hit = np.nonzero(visited[scan_byte:] != 0xFF)[0]
-            if hit.size == 0:
-                scan_byte = nbytes
-                break
-            scan_byte += int(hit[0])
-        if scan_byte >= nbytes:
-            break
+        scan_byte += int((visited[scan_byte:] != 0xFF).argmax())
         byte = int(visited[scan_byte])
+        if byte == 0xFF:  # argmax found no byte with a clear bit
+            break
         bit = (~byte & (byte + 1)).bit_length() - 1  # lowest zero bit
         seed = scan_byte * 8 + bit
         if seed >= size:

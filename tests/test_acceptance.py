@@ -205,5 +205,9 @@ def test_criterion_11_stress_g7_n4():
     report = enumerate_orbits(p, MOD, record_paths=False)
     elapsed = time.monotonic() - start
     assert report.orbit_count == 2
-    _pass(11, f"(g=7, n=4): {p.size} states, orbit_count 2 in {elapsed:.0f}s")
+    # the mod-2 count of the invariants docstring: 4^7 2^6 (2^7 +- 1)
+    assert {o.vanishing_number: o.size for o in report.orbits} == {
+        0: 135_266_304, 1: 133_169_152}
+    _pass(11, f"(g=7, n=4): {p.size} states, orbits of 135,266,304 and "
+              f"133,169,152 in {elapsed:.0f}s")
     assert elapsed < 600, f"stress target missed: {elapsed:.0f}s"

@@ -47,14 +47,29 @@ def _token_images(gens, p):
 
 def _check_kernel(gens, p):
     """Every kernel image is a permutation and agrees with replay_tokens on
-    every state; returns the images."""
+    every state, and on shuffled prefixes that shrink at every row;
+    returns the images."""
     states = np.arange(p.size, dtype=np.int64)
     kernel, _ = _image_kernel(gens, p)
     images = np.array(list(kernel(states, [p.size] * len(gens))))
     assert images.shape == (len(gens), p.size)
     for gen, image in zip(gens, images):
         assert np.array_equal(np.sort(image), states), f"{gen} is not a bijection"
-    assert np.array_equal(images, _token_images(gens, p))
+    expected = _token_images(gens, p)
+    assert np.array_equal(images, expected)
+    # C_i reads the keys of blocks i and i + 1, and the earlier A_i row
+    # reads block i's: with falling counts C_i's pair key is built on a
+    # shorter prefix than the one block i's key is cut on
+    chunk = np.random.default_rng(0).permutation(states)
+    counts = [p.size - j * (p.size // len(gens)) for j in range(len(gens))]
+    assert all(a > b > 0 for a, b in zip(counts, counts[1:]))
+    assert any(gen.kind == "C" and counts[j] < counts[k]
+               for j, gen in enumerate(gens) for k, other in enumerate(gens)
+               if other.kind == "A" and other.index == gen.index)
+    rows = list(kernel(chunk, counts))
+    assert len(rows) == len(gens)
+    for gen, row, image, count in zip(gens, rows, expected, counts):
+        assert np.array_equal(row, image[chunk[:count]]), f"{gen} on a prefix"
     return images
 
 
